@@ -13,13 +13,10 @@ sources, few active) and write benchmarks/BENCH_event_core.json so CI
 can upload the numbers and gate regressions against the committed
 copy.
 
-The A/B switch is ``EventCore(use_selectors=False)`` -- the retained
-executable specification, same escape-hatch style as
-``Interp(compile=False)`` and ``database.use_search_lists``.
+The raw-select side is the executable specification from
+tests/oracles/eventcore.py (``SelectEventCore``).
 """
 
-import json
-import os
 import resource
 import socket
 import time
@@ -28,8 +25,8 @@ import pytest
 
 from repro.xt.eventcore import EventCore
 
-COMMITTED_BASELINE = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "BENCH_event_core.json")
+from benchmarks.conftest import bench_record, committed_workloads
+from tests.oracles.eventcore import SelectEventCore
 
 # The head-to-head size: both backends must handle it, so it stays
 # under select's FD_SETSIZE once stdio and the suite's own fds are
@@ -66,11 +63,11 @@ def _close_pairs(pairs):
         write_side.close()
 
 
-def _events_per_second(use_selectors, n_pairs, rounds=ROUNDS, hot=HOT):
+def _events_per_second(core_class, n_pairs, rounds=ROUNDS, hot=HOT):
     """Register ``n_pairs`` readers, then per round make ``hot`` of
     them ready (striding through the set so every fd takes turns) and
     poll until all are dispatched.  Returns dispatched events/sec."""
-    core = EventCore(use_selectors=use_selectors)
+    core = core_class()
     core.report = lambda message: None  # teardown leaks are deliberate
     pairs = _make_pairs(n_pairs)
     dispatched = []
@@ -102,23 +99,23 @@ def _events_per_second(use_selectors, n_pairs, rounds=ROUNDS, hot=HOT):
 _RESULTS = {}  # shared with the regression-gate test below
 
 
-def test_selectors_beats_select_spec(event_core_record):
+def test_selectors_beats_select_spec():
     """The tentpole gate: at 512 watched fds with sparse readiness the
     selectors backend must at least match the raw-select spec path
     (ratio >= 1x); in practice epoll's O(ready) wait beats select's
     O(watched) set scan by a wide margin."""
     _raise_nofile_limit(AB_PAIRS * 2 + 256)
     best_selectors = max(
-        _events_per_second(True, AB_PAIRS) for __ in range(3))
+        _events_per_second(EventCore, AB_PAIRS) for __ in range(3))
     best_select = max(
-        _events_per_second(False, AB_PAIRS) for __ in range(3))
+        _events_per_second(SelectEventCore, AB_PAIRS) for __ in range(3))
     ratio = best_selectors / best_select
     _RESULTS["ab_ratio"] = ratio
     print("\n%d watched fds, %d hot per round, %d rounds:"
           % (AB_PAIRS * 2, HOT, ROUNDS))
     print("  selectors %10.0f ev/s   select %10.0f ev/s   %.2fx"
           % (best_selectors, best_select, ratio))
-    event_core_record("ab_512_fds", {
+    bench_record("event_core", "ab_512_fds", {
         "watched_fds": AB_PAIRS * 2,
         "hot_per_round": HOT,
         "rounds": ROUNDS,
@@ -129,7 +126,7 @@ def test_selectors_beats_select_spec(event_core_record):
     assert ratio >= 1.0
 
 
-def test_selectors_at_1k_watched_fds(event_core_record):
+def test_selectors_at_1k_watched_fds():
     """The scale claim: 1000 watched fds is beyond FD_SETSIZE (the
     spec path's select.select raises on fd >= 1024), and the selectors
     backend's throughput there must stay within 2x of its own 512-fd
@@ -138,15 +135,17 @@ def test_selectors_at_1k_watched_fds(event_core_record):
     if soft < BIG_PAIRS * 2 + 64:
         pytest.skip("RLIMIT_NOFILE hard cap %d too low for %d fds"
                     % (soft, BIG_PAIRS * 2))
-    eps_1k = max(_events_per_second(True, BIG_PAIRS) for __ in range(3))
-    eps_512 = max(_events_per_second(True, AB_PAIRS) for __ in range(3))
+    eps_1k = max(_events_per_second(EventCore, BIG_PAIRS)
+                 for __ in range(3))
+    eps_512 = max(_events_per_second(EventCore, AB_PAIRS)
+                  for __ in range(3))
     _RESULTS["eps_1k"] = eps_1k
     print("\nselectors backend, %d hot per round, %d rounds:"
           % (HOT, ROUNDS))
     print("  %5d watched fds %10.0f ev/s" % (AB_PAIRS * 2, eps_512))
     print("  %5d watched fds %10.0f ev/s  (%.2fx of 512-fd rate)"
           % (BIG_PAIRS * 2, eps_1k, eps_1k / eps_512))
-    event_core_record("selectors_2k_fds", {
+    bench_record("event_core", "selectors_2k_fds", {
         "watched_fds": BIG_PAIRS * 2,
         "hot_per_round": HOT,
         "rounds": ROUNDS,
@@ -173,7 +172,7 @@ def test_select_spec_blind_beyond_fd_setsize():
         high_fd = high[0][0].fileno()
         with pytest.raises(ValueError):
             select_module.select([high_fd], [], [], 0)
-        spec = EventCore(use_selectors=False)
+        spec = SelectEventCore()
         spec.report = lambda message: None
         spec_hits = []
         spec.add_reader(high[0][0], lambda s: spec_hits.append(1))
@@ -183,7 +182,7 @@ def test_select_spec_blind_beyond_fd_setsize():
         assert spec_hits == []  # ready data, but the spec cannot see it
         spec.shutdown(drain_timeout=0)
         # The selectors backend dispatches the very same descriptor.
-        good = EventCore(use_selectors=True)
+        good = EventCore()
         good.report = lambda message: None
         hits = []
         good.add_reader(high[0][0], lambda s: (s.recv(16),
@@ -203,13 +202,12 @@ def test_no_regression_vs_committed_baseline():
     regression not)."""
     assert "ab_ratio" in _RESULTS and "eps_1k" in _RESULTS, \
         "the throughput benches must run first"
-    if not os.path.exists(COMMITTED_BASELINE):
+    baseline = committed_workloads("event_core")
+    if baseline is None:
         print("\nno committed BENCH_event_core.json yet; "
               "absolute gates only")
         return
-    with open(COMMITTED_BASELINE) as handle:
-        baseline = json.load(handle)
-    committed = baseline["workloads"]["selectors_2k_fds"]["events_per_sec"]
+    committed = baseline["selectors_2k_fds"]["events_per_sec"]
     floor = committed * 0.2
     print("\ncommitted 2k-fd throughput %.0f ev/s -> floor %.0f ev/s, "
           "measured %.0f ev/s" % (committed, floor, _RESULTS["eps_1k"]))

@@ -11,14 +11,12 @@ applications two ways, and this module measures both:
   command round-trips bounded while a hostile neighbor trips its eval
   budget until it is reaped, and drains to zero leaked watches.
 
-The concurrent workload writes BENCH_server.json (via the
-``server_record`` fixture) and gates against the committed artifact
+The concurrent workload writes BENCH_server.json (via
+``bench_record``) and gates against the committed artifact
 with generous slack, so a scheduling regression that wedges neighbor
 sessions behind a bomb shows up in CI, not in production.
 """
 
-import json
-import os
 import socket
 import sys
 import textwrap
@@ -27,6 +25,8 @@ import time
 from repro.core.frontend import Frontend
 from repro.server import WafeServer
 from repro.xlib import close_all_displays
+
+from benchmarks.conftest import bench_record, committed_workloads
 
 PY_BACKEND = '''
     import sys
@@ -76,9 +76,6 @@ def test_one_frontend_many_backends(benchmark, wafe, tmp_path):
 # ----------------------------------------------------------------------
 # The concurrent half: the multi-session server at scale.
 
-BENCH_SERVER_PATH = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "BENCH_server.json")
-
 #: Well-behaved sessions; the scale gate the ISSUE pins is >= 100
 #: concurrent, so run a margin above it (plus one hostile neighbor).
 NEIGHBORS = 120
@@ -110,12 +107,12 @@ def _percentile(samples, q):
     return ordered[min(len(ordered) - 1, int(len(ordered) * q))]
 
 
-def test_hundred_concurrent_sessions(server_record):
+def test_hundred_concurrent_sessions():
     """>= 100 concurrent sessions on one core; a hostile neighbor trips
     its eval budget every round until reaped; every other session's
     echo round-trips stay bounded; shutdown drains with zero leaks."""
     close_all_displays()
-    server = WafeServer(compile=True)
+    server = WafeServer()
     addr = server.listen_tcp("127.0.0.1", 0)
 
     setup_start = time.perf_counter()
@@ -210,7 +207,7 @@ def test_hundred_concurrent_sessions(server_record):
         "hostile_reaped": server.supervisor.ended.get("quota", 0),
         "leaked_watches": leaked,
     }
-    server_record("concurrent_sessions", payload)
+    bench_record("server", "concurrent_sessions", payload)
     print("\nmulti-session server: %d concurrent sessions, "
           "%.0f commands/s, round-trip p50 %.1fms p99 %.1fms "
           "(hostile neighbor tripped %d budgets, reaped, 0 leaks)"
@@ -219,11 +216,8 @@ def test_hundred_concurrent_sessions(server_record):
 
     # Gate against the committed artifact with generous slack (CI
     # machines are noisy; a real scheduling regression is not 5x).
-    committed = None
-    if os.path.exists(BENCH_SERVER_PATH):
-        with open(BENCH_SERVER_PATH) as handle:
-            committed = json.load(handle)["workloads"].get(
-                "concurrent_sessions")
+    committed = (committed_workloads("server") or {}).get(
+        "concurrent_sessions")
     if committed:
         assert p99_ms <= max(committed["rtt_p99_ms"] * 5.0, 250.0), (
             "round-trip p99 regressed: %.1fms vs committed %.1fms"

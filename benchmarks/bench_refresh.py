@@ -11,11 +11,12 @@ which an Expose arrives.  Measured: how long the window stays stale.
 
 The second half gates the damage-region subsystem: three incremental
 update scenarios (scrollbar drag, label text change, plotter point
-append) must repaint >= 10x fewer pixels on the damage path than on
-the eager full-redraw spec path (``use_regions=False``), measured with
-the deterministic ``drawn_pixels`` counter; and frame-granularity
-protocol pipelining must cut pipe writes per command burst >= 10x over
-the one-write-per-send spec (``pipeline=False``), with round-trips/sec
+append) must repaint >= 10x fewer pixels on the damage path than the
+updated widget's own full ``redraw()`` does, measured with the
+deterministic ``drawn_pixels`` counter, and leave the screen
+byte-identical to a full repaint (tests/oracles/render.py); and
+frame-granularity protocol pipelining must reach the pipe in >= 10x
+fewer writes than a command burst has sends, with round-trips/sec
 against a live backend recorded and floored by the committed
 BENCH_refresh.json baseline.
 """
@@ -28,6 +29,9 @@ from repro.xlib import close_all_displays, xtypes
 from repro.xlib.colors import alloc_color
 from repro.xlib.events import XEvent
 from repro.xlib.graphics import window_pixels
+
+from benchmarks.conftest import bench_record, committed_workloads
+from tests.oracles.render import full_repaint
 
 BUSY_MS = 250
 
@@ -134,11 +138,11 @@ def test_refresh_under_busy_backend(benchmark, wafe, tmp_path):
 # ----------------------------------------------------------------------
 # Damage-region rendering: repainted pixels per incremental update.
 #
-# Each scenario builds the same widget tree twice -- once on the
-# band-region damage path, once on the eager full-redraw spec path
-# (use_regions=False) -- runs the same update script, and reads the
-# drawn_pixels render counter.  The counter is deterministic (no
-# timing), so the >= 10x reduction gate is exact.
+# Each scenario builds a widget tree, runs an update script, and reads
+# the drawn_pixels render counter after every update and after a full
+# redraw() of the updated widget (the baseline: what repainting the
+# whole widget costs).  The counter is deterministic (no timing), so
+# the >= 10x reduction gate is exact.
 
 
 def _scenario_scrollbar(app, top):
@@ -154,7 +158,7 @@ def _scenario_scrollbar(app, top):
         bar.set_thumb(top=0.02 * (i + 1))
         app.process_pending()
 
-    return update, 25
+    return bar, update, 25
 
 
 def _scenario_label(app, top):
@@ -170,7 +174,7 @@ def _scenario_label(app, top):
         label.set_values({"label": "value: %d" % (i + 1)})
         app.process_pending()
 
-    return update, 25
+    return label, update, 25
 
 
 def _scenario_plotter(app, top):
@@ -190,7 +194,7 @@ def _scenario_plotter(app, top):
         graph.set_data(data)
         app.process_pending()
 
-    return update, 25
+    return graph, update, 25
 
 
 _PIXEL_SCENARIOS = {
@@ -200,38 +204,47 @@ _PIXEL_SCENARIOS = {
 }
 
 
-def _pixels_per_update(scenario, use_regions):
+def _run_scenario(scenario):
+    """Build a scenario's tree; returns (app, widget, update, rounds)."""
     from repro.xt import ApplicationShell, XtAppContext
 
     close_all_displays()
-    app = XtAppContext(use_regions=use_regions)
+    app = XtAppContext()
     top = ApplicationShell("topLevel", None, app=app)
-    update, rounds = scenario(app, top)
-    display = app.default_display
-    display.reset_render_stats()
+    return (app,) + scenario(app, top)
+
+
+def _pixels_per_update(scenario):
+    """(damage-path, full-redraw) drawn pixels per update."""
+    app, widget, update, rounds = _run_scenario(scenario)
+    stats = app.default_display.render_stats
+    damage = full = 0
     for i in range(rounds):
+        before = stats["drawn_pixels"]
         update(i)
-    drawn = display.render_stats["drawn_pixels"]
+        damage += stats["drawn_pixels"] - before
+        before = stats["drawn_pixels"]
+        widget.redraw()
+        full += stats["drawn_pixels"] - before
     close_all_displays()
-    return drawn / rounds
+    return damage / rounds, full / rounds
 
 
-def test_damage_path_repaints_10x_fewer_pixels(refresh_record):
+def test_damage_path_repaints_10x_fewer_pixels():
     """The tentpole gate: >= 10x fewer repainted pixels per incremental
     update on every scenario."""
     print("\nrepainted pixels per incremental update "
-          "(damage path vs eager full redraw):")
+          "(damage path vs the widget's full redraw):")
     reductions = {}
     for name, scenario in _PIXEL_SCENARIOS.items():
-        damage = _pixels_per_update(scenario, use_regions=True)
-        eager = _pixels_per_update(scenario, use_regions=False)
-        reduction = eager / max(damage, 1e-9)
+        damage, full = _pixels_per_update(scenario)
+        reduction = full / max(damage, 1e-9)
         reductions[name] = reduction
-        print("  %-22s damage %10.1f   eager %10.1f   (%6.1fx fewer)"
-              % (name, damage, eager, reduction))
-        refresh_record(name, {
+        print("  %-22s damage %10.1f   full redraw %10.1f   (%6.1fx fewer)"
+              % (name, damage, full, reduction))
+        bench_record("refresh", name, {
             "damage_pixels_per_update": round(damage, 1),
-            "eager_pixels_per_update": round(eager, 1),
+            "full_redraw_pixels_per_update": round(full, 1),
             "pixel_reduction": round(reduction, 2),
         })
     for name, reduction in reductions.items():
@@ -239,27 +252,20 @@ def test_damage_path_repaints_10x_fewer_pixels(refresh_record):
             "only %.1fx fewer pixels on %s" % (reduction, name)
 
 
-def test_damage_path_same_pixels_as_eager():
+def test_damage_path_same_pixels_as_full_repaint():
     """The reduction must not come from painting *wrong* pixels: after
-    each scenario the framebuffers of the two paths are byte-identical.
-    (The exhaustive corpus lives in tests/test_damage_render.py; this
+    every update the screen is byte-identical to a full repaint.  (The
+    exhaustive corpus lives in tests/test_damage_render.py; this
     re-checks the exact workloads the gate above measures.)"""
-    from repro.xt import ApplicationShell, XtAppContext
-
     for name, scenario in _PIXEL_SCENARIOS.items():
-        frames = {}
-        for use_regions in (True, False):
-            close_all_displays()
-            app = XtAppContext(use_regions=use_regions)
-            top = ApplicationShell("topLevel", None, app=app)
-            update, rounds = scenario(app, top)
-            for i in range(rounds):
-                update(i)
-            frames[use_regions] = \
-                app.default_display.screen.framebuffer.copy()
-            close_all_displays()
-        assert (frames[True] == frames[False]).all(), \
-            "%s: damage path diverged from eager spec" % name
+        app, __, update, rounds = _run_scenario(scenario)
+        framebuffer = app.default_display.screen.framebuffer
+        for i in range(rounds):
+            update(i)
+            assert (framebuffer == full_repaint(app)).all(), \
+                "%s: damage path diverged from a full repaint at " \
+                "update %d" % (name, i)
+        close_all_displays()
 
 
 # ----------------------------------------------------------------------
@@ -269,21 +275,20 @@ def test_damage_path_same_pixels_as_eager():
 BURST = 200
 
 
-def _writes_per_burst(wafe, frontend, pipeline):
-    frontend.pipeline = pipeline
+def _burst_stats(wafe, frontend):
     frontend.flush()
     frontend.reset_stats()
     for i in range(BURST):
         frontend.send("tick %d\n" % i)
     wafe.app.process_pending()  # end_frame flushes the batched output
     frontend.flush()
-    return frontend.stats["pipe_writes"]
+    return dict(frontend.stats)
 
 
-def test_pipelined_flushes_10x_fewer_writes(wafe, tmp_path, refresh_record):
+def test_pipelined_flushes_10x_fewer_writes(wafe, tmp_path):
     """Output batches until the end-of-dispatch flush point: a burst of
-    BURST sends must reach the pipe in >= 10x fewer writes than the
-    one-write-per-send spec (pipeline=False)."""
+    BURST sends must reach the pipe in >= 10x fewer writes than it has
+    sends (one write per send is what an unbatched channel does)."""
     import sys
     import textwrap
 
@@ -298,34 +303,31 @@ def test_pipelined_flushes_10x_fewer_writes(wafe, tmp_path, refresh_record):
     '''))
     frontend = Frontend(wafe, [sys.executable, "-u", str(script)])
     try:
-        unpipelined = _writes_per_burst(wafe, frontend, pipeline=False)
-        pipelined = _writes_per_burst(wafe, frontend, pipeline=True)
+        stats = _burst_stats(wafe, frontend)
     finally:
-        frontend.pipeline = True
         frontend.send("bye\n")
         frontend.close()
-    reduction = unpipelined / max(pipelined, 1)
+    sends, writes = stats["sends"], stats["pipe_writes"]
+    reduction = sends / max(writes, 1)
     print("\npipe writes for a %d-command burst:" % BURST)
-    print("  per-send spec (pipeline=False): %5d writes" % unpipelined)
-    print("  frame pipelining              : %5d writes (%.0fx fewer)"
-          % (pipelined, reduction))
-    refresh_record("pipelining_burst", {
+    print("  sends           : %5d" % sends)
+    print("  frame pipelining: %5d writes (%.0fx fewer)"
+          % (writes, reduction))
+    bench_record("refresh", "pipelining_burst", {
         "burst_commands": BURST,
-        "pipe_writes_unpipelined": unpipelined,
-        "pipe_writes_pipelined": pipelined,
+        "sends": sends,
+        "pipe_writes_pipelined": writes,
         "write_reduction": round(reduction, 2),
     })
-    assert unpipelined >= BURST  # the spec really is one write per send
+    assert sends >= BURST
     assert reduction >= 10.0, \
         "pipelining only cut writes %.1fx" % reduction
 
 
-def test_round_trips_per_sec(wafe, tmp_path, refresh_record):
+def test_round_trips_per_sec(wafe, tmp_path):
     """Round-trips/sec against a live echoing backend, recorded for the
     committed-baseline floor (informational magnitude: a collapse means
     a flush point disappeared or dispatch grew a stall)."""
-    import json
-    import os
     import sys
     import textwrap
     import time
@@ -362,22 +364,18 @@ def test_round_trips_per_sec(wafe, tmp_path, refresh_record):
         frontend.close()
     per_sec = rounds / elapsed
     print("\nround trips through the live backend: %.0f/s" % per_sec)
-    refresh_record("round_trips", {
+    bench_record("refresh", "round_trips", {
         "rounds": rounds,
         "round_trips_per_sec": round(per_sec, 1),
     })
-    committed_path = os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "BENCH_refresh.json")
-    if os.path.exists(committed_path):
-        with open(committed_path) as handle:
-            committed = json.load(handle)["workloads"].get(
-                "round_trips", {}).get("round_trips_per_sec")
-        if committed:
-            # Wide headroom: shared CI machines are noisy; only a
-            # collapse (a lost flush point stalls every round trip into
-            # a max_idle timeout) should trip this.
-            floor = committed * 0.05
-            print("  committed baseline %.0f/s -> floor %.0f/s"
-                  % (committed, floor))
-            assert per_sec >= floor
+    committed = (committed_workloads("refresh") or {}).get(
+        "round_trips", {}).get("round_trips_per_sec")
+    if committed:
+        # Wide headroom: shared CI machines are noisy; only a collapse
+        # (a lost flush point stalls every round trip into a max_idle
+        # timeout) should trip this.
+        floor = committed * 0.05
+        print("  committed baseline %.0f/s -> floor %.0f/s"
+              % (committed, floor))
+        assert per_sec >= floor
     assert per_sec > 50  # absolute sanity: no per-round-trip stall

@@ -10,6 +10,12 @@ the backend process and let Tcl only drive the GUI.
 
 import time
 
+from benchmarks.conftest import (
+    bench_record,
+    committed_workloads,
+    paired_median_ratio,
+)
+
 
 def _tcl_sum(wafe, n):
     return wafe.run_script(
@@ -103,18 +109,16 @@ _COMPILE_WORKLOADS = {
 }
 
 
-#: Speedups measured by test_compile_layer_speedup, for the committed-
-#: baseline gate below (mirrors bench_xrm.py).  Each value is a dict
-#: with "plans" and "vm" speedups over the uncompiled tree-walker.
+#: VM speedups over the tree walker measured by
+#: test_compile_layer_speedup, for the committed-baseline gate below
+#: (mirrors bench_xrm.py).
 _SPEEDUPS = {}
 
 
-def test_compile_layer_speedup(tcl_compile_record):
-    """The tentpole claim, now three-way: the plan engine (cached
-    compiled scripts, literal-argv fast paths, expr AST cache) gives
-    >= 2x ops/sec on loop/expr workloads over the uncompiled baseline,
-    and the bytecode VM (inline caches, fused loops, integer shadows)
-    gives >= 10x."""
+def test_compile_layer_speedup():
+    """The tentpole claim: the bytecode VM (inline caches, fused loops,
+    integer shadows) gives >= 10x ops/sec on loop/expr workloads over
+    the uncompiled tree walker."""
     from repro.tcl import Interp
 
     print("\nTcl engines, ops/sec (evals of whole script):")
@@ -122,35 +126,28 @@ def test_compile_layer_speedup(tcl_compile_record):
     for name, script in _COMPILE_WORKLOADS.items():
         vm_interp = Interp(compile=True)
         vm_interp.reset_cache_stats()
-        baseline, plans, vm = _ops_per_sec_multi(
-            [Interp(compile=False), Interp(compile="plans"), vm_interp],
-            script)
+        baseline, vm = _ops_per_sec_multi(
+            [Interp(compile=False), vm_interp], script)
         stats = vm_interp.cache_stats()
-        speedups[name] = {"plans": plans / baseline, "vm": vm / baseline}
-        print("  %-18s tree %11.0f  plans %11.0f (%5.2fx)  "
-              "vm %11.0f (%5.2fx)"
-              % (name, baseline, plans, plans / baseline,
-                 vm, vm / baseline))
-        tcl_compile_record(name, {
+        speedups[name] = vm / baseline
+        print("  %-18s tree %11.0f  vm %11.0f (%5.2fx)"
+              % (name, baseline, vm, vm / baseline))
+        bench_record("tcl_compile", name, {
             "script": script,
             "uncompiled_ops_per_sec": round(baseline, 1),
-            "plans_ops_per_sec": round(plans, 1),
             "vm_ops_per_sec": round(vm, 1),
-            "plans_speedup": round(plans / baseline, 3),
             "vm_speedup": round(vm / baseline, 3),
             "cache_hit_rates": {
                 cache: round(cache_stats["hit_rate"], 4)
                 for cache, cache_stats in stats.items()
             },
         })
-    # Loop/expr workloads: plans must clear 2x and the VM 10x; the
-    # pure-literal workload is reported but only needs to not regress.
+    # Loop/expr workloads: the VM must clear 10x; the pure-literal
+    # workload is reported but only needs to not regress.
     for name in ("for_loop_sum", "while_countdown", "callback_expr"):
-        assert speedups[name]["plans"] >= 2.0, \
-            "plans %.2fx on %s" % (speedups[name]["plans"], name)
-        assert speedups[name]["vm"] >= 10.0, \
-            "vm %.2fx on %s" % (speedups[name]["vm"], name)
-    assert speedups["literal_commands"]["vm"] >= 1.0
+        assert speedups[name] >= 10.0, \
+            "vm %.2fx on %s" % (speedups[name], name)
+    assert speedups["literal_commands"] >= 1.0
 
 
 def _timed_window(interp, script, n):
@@ -167,15 +164,13 @@ def _watchdog_overhead_trial(plain, armed, script, n, windows=45):
     conftest (also used by bench_refresh.py): back-to-back pairs with
     alternating order, median over many rounds -- the estimator that
     survives CPU frequency drift on shared machines."""
-    from benchmarks.conftest import paired_median_ratio
-
     return paired_median_ratio(
         lambda: _timed_window(plain, script, n),
         lambda: _timed_window(armed, script, n),
         windows=windows) - 1.0
 
 
-def test_eval_limit_overhead(tcl_compile_record):
+def test_eval_limit_overhead():
     """Fault-containment gate: an *armed* watchdog (generous budgets
     that never trip) must cost < 5% on the loop workloads -- the limit
     check hides behind a next-checkpoint counter in the dispatch hot
@@ -205,7 +200,7 @@ def test_eval_limit_overhead(tcl_compile_record):
         overheads[name] = overhead
         print("  %-18s median paired overhead %6.2f%%"
               % (name, overhead * 100))
-        tcl_compile_record("eval_limit_overhead_%s" % name, {
+        bench_record("tcl_compile", "eval_limit_overhead_%s" % name, {
             "overhead_fraction": round(max(0.0, overhead), 4),
         })
     for name, overhead in overheads.items():
@@ -214,96 +209,28 @@ def test_eval_limit_overhead(tcl_compile_record):
 
 
 def test_speedup_vs_committed_baseline():
-    """CI gate: the per-engine speedups must stay close to the
-    committed BENCH_tcl_compile.json (a collapse means the dispatch
-    path grew a per-command cost, or an inline cache stopped hitting).
+    """CI gate: the VM speedups must stay close to the committed
+    BENCH_tcl_compile.json (a collapse means the dispatch path grew a
+    per-command cost, or an inline cache stopped hitting).
     """
-    import json
-    import os
-
     assert _SPEEDUPS, "test_compile_layer_speedup must run first"
-    committed_path = os.path.join(
-        os.path.dirname(os.path.abspath(__file__)),
-        "BENCH_tcl_compile.json")
-    if not os.path.exists(committed_path):
+    baseline = committed_workloads("tcl_compile")
+    if baseline is None:
         print("\nno committed BENCH_tcl_compile.json yet; "
               "absolute gate only")
         return
-    with open(committed_path) as handle:
-        baseline = json.load(handle)
     for name in ("for_loop_sum", "callback_expr"):
-        workload = baseline["workloads"][name]
-        for engine, absolute_floor in (("plans", 1.8), ("vm", 10.0)):
-            key = "%s_speedup" % engine
-            if key not in workload:   # a schema/1 artifact: plans only
-                if engine != "plans" or "speedup" not in workload:
-                    continue
-                key = "speedup"
-            committed = workload[key]
-            # 25% headroom for timing noise, never below the absolute
-            # claim each engine ships with.
-            floor = max(absolute_floor, committed * 0.75)
-            measured = _SPEEDUPS[name][engine]
-            print("committed %s %s speedup %.2fx -> floor %.2fx, "
-                  "measured %.2fx"
-                  % (name, engine, committed, floor, measured))
-            assert measured >= floor
+        committed = baseline[name]["vm_speedup"]
+        # 25% headroom for timing noise, never below the absolute 10x
+        # claim.
+        floor = max(10.0, committed * 0.75)
+        measured = _SPEEDUPS[name]
+        print("committed %s vm speedup %.2fx -> floor %.2fx, "
+              "measured %.2fx" % (name, committed, floor, measured))
+        assert measured >= floor
 
 
-#: Constant-heavy callback: folded exprs inside a loop, a constant
-#: branch, a dead loop, and an adjacent dead-store chain -- the shapes
-#: the emission-time optimizer targets.
-_CONST_HEAVY = (
-    "set retries 3\n"
-    "set retries 3\n"
-    "set limit [expr {64 * 1024}]\n"
-    "set mode [expr {7 % 3}]\n"
-    "if {1} {set path direct} else {set path spill}\n"
-    "while {0} {set unreachable 1}\n"
-    "set total 0\n"
-    "for {set i 0} {$i < 40} {incr i} {incr total [expr {2 + 3}]}\n"
-    "set total")
-
-
-def test_optimizer_delta_constant_heavy(tcl_compile_record):
-    """The verified optimizer must pay for itself on constant-heavy
-    scripts and must never cost on them: the byte-identical-semantics
-    guarantee is gated by the differential suite, the performance side
-    is gated here.  Measured as the median of paired back-to-back
-    windows (the estimator that survives CPU frequency drift), with the
-    counters checked so a silently disengaged optimizer cannot pass."""
-    from repro.tcl import Interp
-
-    optimized = Interp()
-    unoptimized = Interp(optimize=False)
-    assert optimized.eval(_CONST_HEAVY) == unoptimized.eval(_CONST_HEAVY)
-
-    stats = optimized.eval("info bytecode")
-    folded = int(stats.split("folded ")[1].split()[0])
-    elided = int(stats.split("elided ")[1].split()[0])
-    assert folded > 0 and elided > 0, \
-        "optimizer did not engage on the constant-heavy workload: %s" % stats
-
-    # _watchdog_overhead_trial(plain, armed) returns median(armed/plain)
-    # - 1; with plain=optimized it reads as the optimizer's win.
-    win = _watchdog_overhead_trial(optimized, unoptimized,
-                                   _CONST_HEAVY, 400)
-    print("\nconstant-heavy callback, optimizer on vs off:")
-    print("  folded %d  elided %d  win %+.2f%%"
-          % (folded, elided, win * 100))
-    tcl_compile_record("optimizer_constant_heavy", {
-        "script": _CONST_HEAVY,
-        "folded": folded,
-        "elided": elided,
-        "win_fraction": round(win, 4),
-    })
-    # Non-regression: the optimizer must never make the constant-heavy
-    # shape slower (5% headroom for timing noise on shared runners).
-    assert win >= -0.05, \
-        "optimizer slows the constant-heavy workload by %.1f%%" % (-win * 100)
-
-
-def test_compile_cache_hit_rate_steady_state(tcl_compile_record):
+def test_compile_cache_hit_rate_steady_state():
     """Steady state (a callback re-fired forever) should be nearly all
     cache hits on every layer."""
     from repro.tcl import Interp
@@ -316,13 +243,13 @@ def test_compile_cache_hit_rate_steady_state(tcl_compile_record):
         interp.eval(script)
     stats = interp.cache_stats()
     print("\nsteady-state cache hit rates after 500 re-evaluations:")
-    for cache in ("parse", "compile", "bytecode", "expr"):
+    for cache in ("parse", "bytecode", "expr"):
         print("  %-8s %6.2f%%  (%d hits, %d misses)"
               % (cache, stats[cache]["hit_rate"] * 100,
                  stats[cache]["hits"], stats[cache]["misses"]))
-    tcl_compile_record("steady_state_hit_rates", {
+    bench_record("tcl_compile", "steady_state_hit_rates", {
         cache: round(stats[cache]["hit_rate"], 4)
-        for cache in ("parse", "compile", "bytecode", "expr")
+        for cache in ("parse", "bytecode", "expr")
     })
     # The default engine is the VM: its bytecode cache is the one that
     # must serve the callback from memory.

@@ -9,12 +9,10 @@ resource.  These benches quantify the gap (and the event-dispatch
 index that rides along) and write benchmarks/BENCH_xrm.json so CI can
 upload the numbers and gate regressions against the committed copy.
 
-The A/B switch is ``database.use_search_lists`` -- the same escape
-hatch style as ``Interp(compile=False)`` in bench_tcl_cost.py.
+The naive side is the reference matcher from tests/oracles/xrm.py,
+installed on a fresh Wafe's application context.
 """
 
-import json
-import os
 import time
 
 from repro.core import make_wafe
@@ -22,8 +20,8 @@ from repro.xlib import close_all_displays, xtypes
 from repro.xlib.events import XEvent
 from repro.xt.translations import parse_translation_table
 
-COMMITTED_BASELINE = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "BENCH_xrm.json")
+from benchmarks.conftest import bench_record, committed_workloads
+from tests.oracles.xrm import use_naive_matcher
 
 # Values that convert cleanly for every attribute they are assigned to
 # (borderWidth-style Int resources are deliberately absent: a database
@@ -69,10 +67,11 @@ def _tree_script(buttons=12, labels=8):
     return "\n".join(lines)
 
 
-def _fresh_wafe(entries, use_search_lists):
+def _fresh_wafe(entries, quark_tree):
     close_all_displays()
     wafe = make_wafe()
-    wafe.app.database.use_search_lists = use_search_lists
+    if not quark_tree:
+        use_naive_matcher(wafe.app)
     if entries:
         wafe.app.merge_resources(app_defaults(entries))
     return wafe
@@ -90,7 +89,7 @@ def _best_of(repeats, func):
 _RESULTS = {}  # shared with the regression-gate test below
 
 
-def test_widget_tree_creation_speedup(xrm_record):
+def test_widget_tree_creation_speedup():
     """The tentpole claim: creating a widget tree against a grown
     resource database is >= 3x faster through quark search lists than
     through the naive per-lookup matcher (gated at 1000 entries)."""
@@ -98,9 +97,9 @@ def test_widget_tree_creation_speedup(xrm_record):
     print("\nwidget-tree creation (21 widgets) vs database size:")
     for entries in (10, 100, 1000):
 
-        def creation(use_search_lists):
+        def creation(quark_tree):
             def run():
-                wafe = _fresh_wafe(entries, use_search_lists)
+                wafe = _fresh_wafe(entries, quark_tree)
                 start = time.perf_counter()
                 wafe.run_script(script)
                 return time.perf_counter() - start
@@ -113,7 +112,7 @@ def test_widget_tree_creation_speedup(xrm_record):
         _RESULTS["creation_%d" % entries] = speedup
         print("  %5d entries  quark %8.2f ms   naive %8.2f ms   %.1fx"
               % (entries, quark_s * 1000, naive_s * 1000, speedup))
-        xrm_record("creation_%d" % entries, {
+        bench_record("xrm", "creation_%d" % entries, {
             "entries": entries,
             "widgets": 21,
             "quark_ms": round(quark_s * 1000, 3),
@@ -124,7 +123,7 @@ def test_widget_tree_creation_speedup(xrm_record):
     assert _RESULTS["creation_1000"] >= 3.0
 
 
-def test_repeated_set_values_and_queries(xrm_record):
+def test_repeated_set_values_and_queries():
     """Steady-state interactivity: repeated setValues on a realized
     tree plus the per-widget re-queries a callback storm causes.  The
     search list is cached on the widget, so re-queries cost a walk of
@@ -132,8 +131,8 @@ def test_repeated_set_values_and_queries(xrm_record):
     entries = 1000
     rounds = 200
 
-    def workload(use_search_lists):
-        wafe = _fresh_wafe(entries, use_search_lists)
+    def workload(quark_tree):
+        wafe = _fresh_wafe(entries, quark_tree)
         wafe.run_script(_tree_script())
         wafe.run_script("realize")
         widget = wafe.lookup_widget("b0")
@@ -149,7 +148,7 @@ def test_repeated_set_values_and_queries(xrm_record):
     print("\n%d setValues+query rounds against %d entries:" % (rounds, entries))
     print("  quark %8.2f ms   naive %8.2f ms   %.1fx"
           % (quark_s * 1000, naive_s * 1000, speedup))
-    xrm_record("set_values_query_1000", {
+    bench_record("xrm", "set_values_query_1000", {
         "entries": entries,
         "rounds": rounds,
         "quark_ms": round(quark_s * 1000, 3),
@@ -159,7 +158,7 @@ def test_repeated_set_values_and_queries(xrm_record):
     assert speedup >= 1.0  # must never be slower at steady state
 
 
-def test_merge_then_create(xrm_record):
+def test_merge_then_create():
     """The dynamic pattern mergeResources enables: merge entries after
     widgets exist, then create more widgets.  Every merge bumps the
     generation and invalidates memoised search lists, so this measures
@@ -167,8 +166,8 @@ def test_merge_then_create(xrm_record):
     entries = 500
     batches = 10
 
-    def workload(use_search_lists):
-        wafe = _fresh_wafe(entries, use_search_lists)
+    def workload(quark_tree):
+        wafe = _fresh_wafe(entries, quark_tree)
         wafe.run_script("form f topLevel")
         start = time.perf_counter()
         for batch in range(batches):
@@ -184,7 +183,7 @@ def test_merge_then_create(xrm_record):
           % (batches, entries))
     print("  quark %8.2f ms   naive %8.2f ms   %.1fx"
           % (quark_s * 1000, naive_s * 1000, speedup))
-    xrm_record("merge_then_create_500", {
+    bench_record("xrm", "merge_then_create_500", {
         "entries": entries,
         "batches": batches,
         "quark_ms": round(quark_s * 1000, 3),
@@ -194,7 +193,7 @@ def test_merge_then_create(xrm_record):
     assert speedup >= 1.0
 
 
-def test_translation_dispatch_index(xrm_record):
+def test_translation_dispatch_index():
     """The satellite: TranslationTable.lookup is indexed by event type,
     so dispatching against a table with many bindings touches only the
     productions that could start on this event."""
@@ -231,7 +230,7 @@ def test_translation_dispatch_index(xrm_record):
           % (rounds, len(table)))
     print("  indexed %8.2f ms   linear %8.2f ms   %.1fx"
           % (indexed_s * 1000, linear_s * 1000, speedup))
-    xrm_record("translation_dispatch", {
+    bench_record("xrm", "translation_dispatch", {
         "productions": len(table),
         "rounds": rounds,
         "indexed_ms": round(indexed_s * 1000, 3),
@@ -247,12 +246,11 @@ def test_no_regression_vs_committed_baseline():
     regressed even if it still clears the absolute 3x bar)."""
     assert "creation_1000" in _RESULTS, \
         "test_widget_tree_creation_speedup must run first"
-    if not os.path.exists(COMMITTED_BASELINE):
+    baseline = committed_workloads("xrm")
+    if baseline is None:
         print("\nno committed BENCH_xrm.json yet; absolute gate only")
         return
-    with open(COMMITTED_BASELINE) as handle:
-        baseline = json.load(handle)
-    committed = baseline["workloads"]["creation_1000"]["speedup"]
+    committed = baseline["creation_1000"]["speedup"]
     floor = max(3.0, committed * 0.25)
     print("\ncommitted creation_1000 speedup %.1fx -> floor %.1fx, "
           "measured %.1fx" % (committed, floor, _RESULTS["creation_1000"]))

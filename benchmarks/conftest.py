@@ -18,56 +18,51 @@ from repro.core import make_wafe
 from repro.xlib import close_all_displays
 
 # ----------------------------------------------------------------------
-# BENCH_tcl_compile.json: the compilation-layer perf artifact.
+# BENCH_*.json: the committed perf artifacts.
 #
-# bench_tcl_cost.py records compiled-vs-uncompiled ops/sec and cache
-# hit rates through the ``tcl_compile_record`` fixture; at session end
-# the collected records are written next to this file so CI can upload
-# them and regressions are diffable in review.
+# Benches add workload records with ``bench_record``; at session end
+# every artifact that received records is rewritten next to this file,
+# so CI can upload them and regressions are diffable in review.  The
+# committed copies double as regression baselines
+# (``committed_workloads``).
 
-_TCL_COMPILE_RECORDS = {}
+BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 
-BENCH_TCL_COMPILE_PATH = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "BENCH_tcl_compile.json")
+#: artifact -> (file name, schema tag)
+ARTIFACTS = {
+    # bench_tcl_cost.py: tree walker vs bytecode VM ops/sec, watchdog
+    # overhead, cache hit rates.
+    "tcl_compile": ("BENCH_tcl_compile.json", "wafe-tcl-compile-bench/3"),
+    # bench_xrm.py: quark-tree Xrm lookups vs the naive matcher.
+    "xrm": ("BENCH_xrm.json", "wafe-xrm-bench/1"),
+    # bench_event_core.py: selectors backend vs the raw-select oracle.
+    "event_core": ("BENCH_event_core.json", "wafe-event-core-bench/1"),
+    # bench_refresh.py: repainted pixels per incremental update (damage
+    # path vs full redraw), protocol pipelining, round trips/sec.
+    "refresh": ("BENCH_refresh.json", "wafe-refresh-bench/2"),
+    # bench_multi_app.py: concurrent sessions, throughput, round-trip
+    # p50/p99 beside a hostile neighbour, zero-leak drain.
+    "server": ("BENCH_server.json", "wafe-server-bench/1"),
+}
 
-# BENCH_xrm.json: the quark-interned Xrm machinery artifact, written
-# the same way by bench_xrm.py through the ``xrm_record`` fixture.
+_RECORDS = {}  # artifact -> {workload name: payload}
 
-_XRM_RECORDS = {}
 
-BENCH_XRM_PATH = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "BENCH_xrm.json")
+def bench_record(artifact, name, payload):
+    """Add one workload record to an artifact (written at session end)."""
+    if artifact not in ARTIFACTS:
+        raise KeyError("unknown bench artifact %r" % artifact)
+    _RECORDS.setdefault(artifact, {})[name] = payload
 
-# BENCH_event_core.json: the unified event core artifact, written the
-# same way by bench_event_core.py through the ``event_core_record``
-# fixture (selectors backend vs the retained raw-select spec path).
 
-_EVENT_CORE_RECORDS = {}
-
-BENCH_EVENT_CORE_PATH = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "BENCH_event_core.json")
-
-# BENCH_refresh.json: the damage-region rendering artifact, written the
-# same way by bench_refresh.py through the ``refresh_record`` fixture
-# (repainted pixels per incremental update on the damage path vs the
-# eager full-redraw spec, plus protocol pipelining counters and
-# round-trips/sec).
-
-_REFRESH_RECORDS = {}
-
-BENCH_REFRESH_PATH = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "BENCH_refresh.json")
-
-# BENCH_server.json: the multi-session server artifact, written the
-# same way by bench_multi_app.py through the ``server_record`` fixture
-# (concurrent-session count, command throughput, client round-trip
-# p50/p99 with a hostile quota-tripping neighbor, and the zero-leak
-# drain result).
-
-_SERVER_RECORDS = {}
-
-BENCH_SERVER_PATH = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "BENCH_server.json")
+def committed_workloads(artifact):
+    """The committed artifact's workload records, or None when there is
+    no committed copy yet."""
+    path = os.path.join(BENCH_DIR, ARTIFACTS[artifact][0])
+    if not os.path.exists(path):
+        return None
+    with open(path) as handle:
+        return json.load(handle)["workloads"]
 
 
 def paired_median_ratio(run_a, run_b, windows=45):
@@ -98,56 +93,6 @@ def paired_median_ratio(run_a, run_b, windows=45):
     return ratios[len(ratios) // 2]
 
 
-@pytest.fixture
-def tcl_compile_record():
-    """Call with (workload_name, payload_dict) to add one record."""
-
-    def record(name, payload):
-        _TCL_COMPILE_RECORDS[name] = payload
-
-    return record
-
-
-@pytest.fixture
-def xrm_record():
-    """Call with (workload_name, payload_dict) to add one Xrm record."""
-
-    def record(name, payload):
-        _XRM_RECORDS[name] = payload
-
-    return record
-
-
-@pytest.fixture
-def event_core_record():
-    """Call with (workload_name, payload_dict) to add one record."""
-
-    def record(name, payload):
-        _EVENT_CORE_RECORDS[name] = payload
-
-    return record
-
-
-@pytest.fixture
-def refresh_record():
-    """Call with (workload_name, payload_dict) to add one record."""
-
-    def record(name, payload):
-        _REFRESH_RECORDS[name] = payload
-
-    return record
-
-
-@pytest.fixture
-def server_record():
-    """Call with (workload_name, payload_dict) to add one record."""
-
-    def record(name, payload):
-        _SERVER_RECORDS[name] = payload
-
-    return record
-
-
 @pytest.fixture(name="paired_median_ratio")
 def paired_median_ratio_fixture():
     """The shared noise-robust A/B estimator as a fixture."""
@@ -155,55 +100,16 @@ def paired_median_ratio_fixture():
 
 
 def pytest_sessionfinish(session, exitstatus):
-    if _TCL_COMPILE_RECORDS:
-        artifact = {
-            "schema": "wafe-tcl-compile-bench/2",
+    for artifact, records in _RECORDS.items():
+        filename, schema = ARTIFACTS[artifact]
+        document = {
+            "schema": schema,
             "generated_unix": round(time.time(), 3),
             "python": platform.python_version(),
-            "workloads": _TCL_COMPILE_RECORDS,
+            "workloads": records,
         }
-        with open(BENCH_TCL_COMPILE_PATH, "w") as handle:
-            json.dump(artifact, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if _XRM_RECORDS:
-        artifact = {
-            "schema": "wafe-xrm-bench/1",
-            "generated_unix": round(time.time(), 3),
-            "python": platform.python_version(),
-            "workloads": _XRM_RECORDS,
-        }
-        with open(BENCH_XRM_PATH, "w") as handle:
-            json.dump(artifact, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if _EVENT_CORE_RECORDS:
-        artifact = {
-            "schema": "wafe-event-core-bench/1",
-            "generated_unix": round(time.time(), 3),
-            "python": platform.python_version(),
-            "workloads": _EVENT_CORE_RECORDS,
-        }
-        with open(BENCH_EVENT_CORE_PATH, "w") as handle:
-            json.dump(artifact, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if _REFRESH_RECORDS:
-        artifact = {
-            "schema": "wafe-refresh-bench/1",
-            "generated_unix": round(time.time(), 3),
-            "python": platform.python_version(),
-            "workloads": _REFRESH_RECORDS,
-        }
-        with open(BENCH_REFRESH_PATH, "w") as handle:
-            json.dump(artifact, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if _SERVER_RECORDS:
-        artifact = {
-            "schema": "wafe-server-bench/1",
-            "generated_unix": round(time.time(), 3),
-            "python": platform.python_version(),
-            "workloads": _SERVER_RECORDS,
-        }
-        with open(BENCH_SERVER_PATH, "w") as handle:
-            json.dump(artifact, handle, indent=2, sort_keys=True)
+        with open(os.path.join(BENCH_DIR, filename), "w") as handle:
+            json.dump(document, handle, indent=2, sort_keys=True)
             handle.write("\n")
 
 

@@ -122,11 +122,9 @@ class OutboundChannel:
     * A peer that stops reading cannot buffer us to death: beyond
       ``high_water`` queued bytes, output is *dropped* with one
       reported overflow per episode (``dropped_bytes`` counts).
-    * Frame-granularity pipelining: with ``pipeline`` true (default)
-      output batches until a flush point (end-of-dispatch frame hook,
-      explicit sync, or the :attr:`FLUSH_THRESHOLD` latency bound);
-      ``pipeline=False`` is the unpipelined executable spec -- one
-      write per send.
+    * Frame-granularity pipelining: output batches until a flush
+      point (end-of-dispatch frame hook, explicit sync, or the
+      :attr:`FLUSH_THRESHOLD` latency bound).
 
     Subclasses provide the transport: :meth:`_channel_open`,
     :meth:`_channel_write`, :meth:`_channel_dead`, the readiness-watch
@@ -147,7 +145,6 @@ class OutboundChannel:
         self._output_id = None
         self._overflowed = False
         self.dropped_bytes = 0
-        self.pipeline = True
         self.closed = False
         self.stats = self._zero_stats()
 
@@ -231,10 +228,7 @@ class OutboundChannel:
         self.stats["sends"] += 1
         self._out_buffer.append(text)
         self._out_buffered_bytes += len(text)
-        if not self.pipeline:
-            # Unpipelined spec path: one write per send.
-            self.flush()
-        elif self._out_buffered_bytes >= self.FLUSH_THRESHOLD:
+        if self._out_buffered_bytes >= self.FLUSH_THRESHOLD:
             self.flush()
         elif self._flush_work_id is None:
             self._flush_work_id = self._add_idle_flush(self._idle_flush)
@@ -256,8 +250,7 @@ class OutboundChannel:
         """An explicit ``sync``: flush now.  Ordering is safe out of
         the box because all output -- echoes, callback replies, and the
         sync itself -- travels one FIFO buffer: everything sent before
-        this point reaches the peer before anything sent after it,
-        pipelined or not."""
+        this point reaches the peer before anything sent after it."""
         self.stats["sync_points"] += 1
         self.flush()
 

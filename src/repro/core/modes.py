@@ -124,9 +124,6 @@ def run_frontend(wafe, program, program_args=None, max_idle=None,
     return supervisor.frontend or frontend
 
 
-def make_wafe(build="athena", display_name=":0", argv=None, compile=True,
-              use_selectors=True, use_regions=True, naive_regions=False):
+def make_wafe(build="athena", display_name=":0", argv=None):
     """Construct a Wafe instance (one per process in real life)."""
-    return Wafe(build=build, display_name=display_name, argv=argv,
-                compile=compile, use_selectors=use_selectors,
-                use_regions=use_regions, naive_regions=naive_regions)
+    return Wafe(build=build, display_name=display_name, argv=argv)

@@ -61,26 +61,16 @@ class Wafe:
     """One frontend instance (one "Wafe binary" in the paper's terms)."""
 
     def __init__(self, build="athena", app_name=None, display_name=":0",
-                 argv=None, compile=True, use_selectors=True,
-                 use_regions=True, naive_regions=False, core=None):
+                 argv=None, core=None):
         self.build = build
         if app_name is None:
             app_name = "wafe" if build == "athena" else "mofe"
         app_class = "Wafe" if build == "athena" else "Mofe"
-        # ``compile=False`` disables the Tcl compilation layer for A/B
-        # comparison (see docs/PERFORMANCE.md); ``use_selectors=False``
-        # does the same for the event core's raw-select spec path;
-        # ``use_regions=False`` falls back to eager full-window exposes
-        # and ``naive_regions=True`` swaps the band Region for the
-        # rect-list spec (both for the damage-rendering A/B).
         # ``core`` injects a *shared* event core (the session server
         # runs many Wafe instances on one loop); global core hooks stay
         # with the core's owner then.
-        self.interp = Interp(compile=compile)
+        self.interp = Interp()
         self.app = XtAppContext(app_name, app_class, display_name,
-                                use_selectors=use_selectors,
-                                use_regions=use_regions,
-                                naive_regions=naive_regions,
                                 core=core)
         self.app.widget_destroyed = self._widget_destroyed
         self.classes = _class_table(build)
@@ -176,15 +166,8 @@ class Wafe:
         if len(argv) != 2:
             raise TclError(
                 'wrong # args: should be "info renderstats ?reset?"')
-        if not display.use_regions:
-            regions = "eager"
-        elif display.naive_regions:
-            regions = "naive"
-        else:
-            regions = "band"
         stats = display.render_stats
         pairs = [
-            "regions", regions,
             "damageRects", str(stats["damage_rects"]),
             "damagePixels", str(stats["damage_pixels"]),
             "damageFlushes", str(stats["damage_flushes"]),
@@ -198,7 +181,6 @@ class Wafe:
         if frontend is not None:
             fstats = frontend.stats
             pairs += [
-                "pipeline", "1" if frontend.pipeline else "0",
                 "sends", str(fstats["sends"]),
                 "pipeWrites", str(fstats["pipe_writes"]),
                 "bytesWritten", str(fstats["bytes_written"]),

@@ -24,10 +24,9 @@ Every rule is documented with examples in ``docs/LINT.md``.
 from repro.lint.diagnostics import Diagnostic, ERROR, RULES, WARNING
 
 # The analyzer and knowledge base import the full widget/spec tables;
-# they are resolved lazily (PEP 562) so light consumers -- notably the
-# bytecode optimizer, which shares :mod:`repro.lint.cfg` and
-# :mod:`repro.lint.dataflow` -- can import this package without paying
-# for them.
+# they are resolved lazily (PEP 562) so light consumers (the
+# diagnostics table, :mod:`repro.lint.cfg`, :mod:`repro.lint.dataflow`)
+# can import this package without paying for them.
 _LAZY = {
     "Analyzer": ("repro.lint.analyzer", "Analyzer"),
     "Knowledge": ("repro.lint.knowledge", "Knowledge"),

@@ -1,8 +1,8 @@
 """Basic-block control-flow graphs for Wafe/Tcl scripts.
 
-The flow-sensitive lint rules (W012..W017) and the bytecode optimizer
-both need the same structural fact: *which commands can run before
-which*, under ``if``/``while``/``for``/``foreach``/``switch`` edges,
+The flow-sensitive lint rules (W012..W017) need one structural fact:
+*which commands can run before which*, under
+``if``/``while``/``for``/``foreach``/``switch`` edges,
 ``break``/``continue`` loop exits, ``return``/``error`` aborts, and the
 ``catch`` firewall (which catches *every* abnormal exit code, so all
 four terminators flow to the command after the ``catch``).  This
@@ -15,11 +15,6 @@ not statically known degrades to a conservative havoc statement.
 ``ownSelection``, ``setCommunicationVariable`` transfer handlers)
 execute in their own activation or at an unknown later time, so they
 become separate sub-graphs, never edges of the enclosing graph.
-
-Import discipline: :mod:`repro.tcl.optimize` runs this machinery from
-inside the compile pipeline, so this module (and
-:mod:`repro.lint.dataflow`) must only depend on the Tcl layer -- the
-widget knowledge base and the analyzer stay out.
 """
 
 import re

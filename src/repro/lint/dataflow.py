@@ -2,13 +2,8 @@
 
 The solver is deliberately ignorant of what flows: a *problem* supplies
 the direction, the lattice (``join``/``equals``), the boundary state,
-and a per-statement transfer function.  Two very different consumers
-share it -- the flow-sensitive lint rules (W012..W017, see
-:mod:`repro.lint.flowrules`) and the bytecode optimizer
-(:mod:`repro.tcl.optimize`) -- which is why this module must not import
-anything heavier than the graph classes: the optimizer runs inside
-``repro.tcl.compile`` and must not drag the widget knowledge base into
-every interpreter.
+and a per-statement transfer function.  The flow-sensitive lint rules
+(W012..W017, see :mod:`repro.lint.flowrules`) are its consumers.
 
 Three ready-made lattices cover the rules built so far:
 

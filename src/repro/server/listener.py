@@ -48,16 +48,15 @@ class WafeServer:
     LATENCY_SAMPLES = 4096
 
     def __init__(self, build="athena", config=None, quota_defaults=None,
-                 use_selectors=True, compile=True, log=None):
+                 log=None):
         self.build = build
         self.config = config if config is not None else ServerConfig()
         # Explicit quota settings stamped onto every new session's
         # quota set (tests and the CLI use this; per-session overrides
         # happen live via the sessionQuota command).
         self.quota_defaults = dict(quota_defaults or {})
-        self.compile = compile
         self._log_sink = log
-        self.core = EventCore(use_selectors=use_selectors)
+        self.core = EventCore()
         self.core.report = self.log
         self.core.error_handler = self._core_error
         self.core.on_quarantine = self._handler_quarantined
@@ -226,8 +225,7 @@ class WafeServer:
             quotas.set(attr, value)
         try:
             session = Session(self, sid, SocketTransport(conn, addr),
-                              build=self.build, quotas=quotas,
-                              compile=self.compile)
+                              build=self.build, quotas=quotas)
         except Exception as exc:  # noqa: BLE001 -- accept must survive
             self.counters["accept_errors"] += 1
             summary = log_panic("session %d setup" % sid, exc)
@@ -250,7 +248,7 @@ class WafeServer:
             for attr, value in self.quota_defaults.items():
                 quotas.set(attr, value)
         session = Session(self, sid, StdioTransport(), build=self.build,
-                          quotas=quotas, compile=self.compile)
+                          quotas=quotas)
         self.counters["accepted"] += 1
         self.sessions[sid] = session
         if self._reap_timer is None:

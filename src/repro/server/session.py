@@ -104,7 +104,7 @@ class Session(OutboundChannel):
     """One client connection with its own contained Wafe instance."""
 
     def __init__(self, server, sid, transport, build="athena",
-                 quotas=None, compile=True, greeting=True):
+                 quotas=None, greeting=True):
         self.server = server
         self.sid = sid
         self.transport = transport
@@ -121,8 +121,7 @@ class Session(OutboundChannel):
         # apart from every neighbor's.
         self.display_name = ":s%d" % sid
         self.wafe = Wafe(build=build, display_name=self.display_name,
-                         core=server.core, compile=compile,
-                         use_selectors=server.core.use_selectors)
+                         core=server.core)
         self.parser = LineParser(max_line=self.quotas.max_line)
         # Pose as the frontend: echo/sync/errors all route to the
         # client over this channel.

@@ -38,16 +38,6 @@ OP_FOREACH = 7   # (OP_FOREACH, cell, name, items, word, body, text,
                  #  line, fb, func)
 OP_EXPR = 8      # (OP_EXPR, cell, prog, text, line, fb, func)
 
-# Optimizer-produced statement ops (repro.tcl.optimize).  Both carry
-# the same binding-check cell and fallback as the op they replace, so
-# ``rename`` deopts them identically.
-OP_CONSTEXPR = 9  # (OP_CONSTEXPR, cell, result, num, text, line, fb, func)
-OP_SETDEAD = 10   # (OP_SETDEAD, cell, name, word, line, fb, func)
-                  # -- an OP_SET whose stored value is provably dead:
-                  # the fast path pays set's work unit but skips the
-                  # store; any slow-path condition (traces, links)
-                  # performs the real assignment.
-
 # ----------------------------------------------------------------------
 # Word descriptors (argument positions of inlined statements)
 
@@ -57,9 +47,6 @@ W_VARIDX = 2     # (W_VARIDX, (name, index_parts))
 W_CMD = 3        # (W_CMD, script) -- [script], compiled lazily at run
 W_CODE = 4       # (W_CODE, code) -- [script] with embedded Code
 W_PARTS = 5      # (W_PARTS, parts) -- general multi-part word
-W_FOLDED = 6     # (W_FOLDED, code) -- [expr] block folded to a single
-                 # OP_CONSTEXPR; the VM pays the block-entry and expr
-                 # work units, then returns the precomputed result
 
 # ----------------------------------------------------------------------
 # Expr program opcodes (stack machine)
@@ -110,9 +97,8 @@ def new_word_cell():
 class Code:
     """A compiled script: a tuple of statement ops plus provenance.
 
-    ``execute`` is the common interface shared with the plan layer's
-    ``CompiledScript`` so ``Interp.eval`` does not care which engine
-    produced the object.
+    ``execute`` runs the ops on the VM; ``Interp.eval_compiled``
+    calls it.
     """
 
     __slots__ = ("ops", "source", "inline_ops", "generic_ops")
@@ -144,8 +130,6 @@ _OP_NAMES = {
     OP_FOR: "for",
     OP_FOREACH: "foreach",
     OP_EXPR: "expr",
-    OP_CONSTEXPR: "constexpr",
-    OP_SETDEAD: "setdead",
 }
 
 _E_NAMES = {
@@ -187,8 +171,6 @@ def _describe_word(word):
         return "[%s]" % _clip(word[1])
     if kind == W_CODE:
         return "[<code %d ops>]" % len(word[1].ops)
-    if kind == W_FOLDED:
-        return "[<folded>] = %r" % (word[1].ops[0][2],)
     return "parts %d" % len(word[1])
 
 
@@ -228,11 +210,7 @@ def _describe_cond(cond, indent):
     pad = "    " * indent
     if prog is None:
         return "%scond (uncompiled) %r" % (pad, _clip(text))
-    marker = ""
-    if cond[3] is not None:
-        marker = " [fused]"
-    elif cond[4] is not None:
-        marker = " [const %s]" % ("true" if cond[4] else "false")
+    marker = " [fused]" if cond[3] is not None else ""
     header = "%scond %r%s" % (pad, _clip(text), marker)
     return header + "\n" + disassemble_expr(prog, indent + 1)
 
@@ -295,12 +273,6 @@ def disassemble(code, indent=0):
         elif kind == OP_EXPR:
             lines.append("%s%3d  expr     %r" % (pad, i, _clip(op[3])))
             lines.append(disassemble_expr(op[2], indent + 1))
-        elif kind == OP_CONSTEXPR:
-            lines.append("%s%3d  constexpr %r -> %r" % (
-                pad, i, _clip(op[4]), op[2]))
-        elif kind == OP_SETDEAD:
-            lines.append("%s%3d  setdead  %s <- %s (store elided)" % (
-                pad, i, op[2], _describe_word(op[3])))
         else:  # pragma: no cover - future opcodes
             lines.append("%s%3d  %s" % (pad, i, name))
     return "\n".join(lines)

@@ -87,7 +87,7 @@ def cmd_info(interp, argv):
         return str(interp.cmd_count)
     if option == "cachestats":
         # ``info cachestats ?reset?``: hit/miss/eviction counters for
-        # the parse, compile, and expr caches (the compilation layer's
+        # the parse, bytecode, and expr caches (the compilation layer's
         # introspection hook; the bench harness reads the same numbers
         # through interp.cache_stats()).
         if len(argv) == 3 and argv[2] == "reset":

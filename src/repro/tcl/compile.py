@@ -18,9 +18,11 @@ semantics.  Three observations drive the design:
   overwhelmingly common shapes, a bare ``$var`` word and a bare
   ``[cmd]`` word.
 
-A :class:`CompiledScript` is immutable and interpreter-independent, so
-``Interp`` memoises them in a per-interp LRU keyed on the script text
-(``eval`` of a repeated callback string skips parse *and* compile).
+Plan-compiled commands (:func:`compile_command`) are the generic
+``OP_CALL`` ops and the deopt fallbacks of the bytecode emitted below;
+``Interp`` memoises whole scripts' bytecode in a per-interp LRU keyed
+on the script text (``eval`` of a repeated callback string skips parse
+*and* compile).
 """
 
 from repro.tcl import bytecode as _bc
@@ -36,8 +38,6 @@ from repro.tcl.expr import (
 from repro.tcl.lists import string_to_list
 
 __all__ = [
-    "CompiledScript",
-    "compile_script",
     "compile_command",
     "compile_script_bytecode",
 ]
@@ -114,28 +114,6 @@ class _DynamicCommand:
         return interp.call(argv, self.line)
 
 
-class CompiledScript:
-    """An executable sequence of compiled commands.
-
-    ``source`` keeps the original script text so errors that occur
-    before any command frame exists (substitution failures) can still
-    start their errorInfo from a script excerpt, matching uncompiled
-    evaluation.
-    """
-
-    __slots__ = ("commands", "source")
-
-    def __init__(self, commands, source=""):
-        self.commands = commands
-        self.source = source
-
-    def execute(self, interp):
-        result = ""
-        for command in self.commands:
-            result = command.execute(interp)
-        return result
-
-
 def _compile_word(word):
     """One plan step for a parsed word."""
     parts = word.parts
@@ -161,26 +139,6 @@ def compile_command(parsed, line=1):
             return _NOOP
         return _LiteralCommand(argv, line)
     return _DynamicCommand(plan, line)
-
-
-def compile_script(parsed_commands, source=""):
-    """Compile a parsed script (list of commands) to executable form.
-
-    Source lines for the commands are derived in one incremental pass
-    over ``source`` (commands arrive in ascending ``pos`` order), so
-    line accounting costs O(len(source)) total at compile time and
-    nothing at execution time.
-    """
-    compiled = []
-    line = 1
-    scan = 0
-    for cmd in parsed_commands:
-        pos = cmd.pos
-        if source and pos > scan:
-            line += source.count("\n", scan, pos)
-            scan = pos
-        compiled.append(compile_command(cmd, line))
-    return CompiledScript(compiled, source)
 
 
 # ======================================================================
@@ -482,20 +440,18 @@ _CMP_FROM_E = {
 
 
 def _compile_cond(text, interp):
-    """A condition tuple ``(prog, text, fallback_word, fused, truth)``.
+    """A condition tuple ``(prog, text, fallback_word, fused)``.
 
     ``prog`` None means the text does not parse as an expression; the
     VM then calls ``eval_expr_truth`` per iteration, which reproduces
     the bare-boolean-word fallback and error behaviour exactly.
-    ``truth`` is a precomputed boolean when the optimizer proved the
-    condition constant (see :mod:`repro.tcl.optimize`), else None.
     """
     stripped = text.strip()
     fallback_word = stripped if (stripped and stripped.isalnum()) else None
     try:
         ast = compile_expr(text)
     except TclError:
-        return (None, text, fallback_word, None, None)
+        return (None, text, fallback_word, None)
     prog = _compile_expr_program(ast, interp)
     fused = None
     if (len(prog) == 3 and prog[0][0] == _bc.E_LOAD
@@ -503,7 +459,7 @@ def _compile_cond(text, interp):
         cmp = _CMP_FROM_E.get(prog[2][0])
         if cmp is not None:
             fused = (prog[0][1], prog[0][2], cmp, prog[1][1])
-    return (prog, text, fallback_word, fused, None)
+    return (prog, text, fallback_word, fused)
 
 
 def _fold_expr(node):
@@ -700,12 +656,4 @@ def compile_script_bytecode(parsed_commands, source, interp):
     stats["scripts"] += 1
     stats["inline_ops"] += inline_count
     stats["generic_ops"] += generic_count
-    code = _bc.Code(tuple(ops), source, inline_count, generic_count)
-    if interp.optimize:
-        # Nested blocks were compiled (and optimized) by the recursive
-        # _try_compile_block calls above, so one pass over this level's
-        # ops sees already-folded children.
-        from repro.tcl.optimize import optimize_code
-
-        code = optimize_code(code, interp)
-    return code
+    return _bc.Code(tuple(ops), source, inline_count, generic_count)

@@ -155,32 +155,17 @@ class Interp:
     by calling :meth:`register`.
     """
 
-    def __init__(self, register_builtins=True, compile=True, optimize=True):
+    def __init__(self, register_builtins=True, compile=True):
         self.commands = {}
         self.procs = {}
         self.frames = [CallFrame(0)]
         self.parse_cache = _parser.ParseCache()
-        # Three engines share one front door:
-        #   compile=True    -> "vm": bytecode with inline caches
-        #   compile="plans" -> "plans": PR-1 substitution plans
-        #   compile=False   -> "tree": the uncompiled executable spec
-        # ``compile=False`` is the A/B escape hatch: evaluation falls
-        # back to per-eval word substitution and uncached expr parsing,
-        # which is the reference semantics both compiled engines must
-        # match byte-for-byte.
-        if compile == "plans":
-            self.engine = "plans"
-        elif compile:
-            self.engine = "vm"
-        else:
-            self.engine = "tree"
-        self.compile_enabled = self.engine != "tree"
-        # The bytecode optimizer (repro.tcl.optimize) only exists on
-        # the vm engine; ``optimize=False`` is the A/B escape hatch
-        # for isolating a suspected optimizer bug without giving up
-        # inline caches.
-        self.optimize = bool(optimize) and self.engine == "vm"
-        self.compile_cache = LRUCache(maxsize=512)
+        # Production runs the bytecode VM.  ``compile=False`` selects
+        # the tree walker: per-eval word substitution and uncached expr
+        # parsing, the reference semantics the VM must match
+        # byte-for-byte (tests and benchmarks construct it; nothing in
+        # production does).
+        self.compile_enabled = bool(compile)
         self.bytecode_cache = LRUCache(maxsize=512)
         # Inline-cache invalidation counters (see repro.tcl.vm): any
         # command-table mutation bumps ``cmds_generation``; unset/upvar
@@ -190,7 +175,6 @@ class Interp:
         self.var_epoch = 0
         self._vm_stats = {
             "scripts": 0, "inline_ops": 0, "generic_ops": 0, "deopts": 0,
-            "folded": 0, "elided": 0,
         }
         # Integer handoff between an inlined ``expr`` and a consuming
         # ``set`` (see repro.tcl.vm): valid only while ``_vm_num_str``
@@ -564,33 +548,20 @@ class Interp:
         return self._substitute_parts(word.parts)
 
     def compile_script(self, script):
-        """The memoised ``script -> CompiledScript`` used by ``eval``.
+        """The memoised ``script -> Code`` (bytecode) used by ``eval``.
 
-        Loop commands hoist this out of their iteration (the returned
-        object is immutable and resolves command names at call time, so
-        holding on to it cannot observe stale ``proc``/``rename``
-        state).  Only meaningful with compilation enabled.
-
-        Under the ``vm`` engine this returns a bytecode ``Code`` object
-        (whose inline ops self-check their command bindings per
-        execution); under ``plans`` it returns the PR-1
-        ``CompiledScript``.  Both expose ``execute(interp)``.
+        Loop commands hoist this out of their iteration: the returned
+        object's inline ops self-check their command bindings per
+        execution, so holding on to it cannot observe stale
+        ``proc``/``rename`` state.  Only meaningful with compilation
+        enabled.
         """
-        if self.engine == "vm":
-            compiled = self.bytecode_cache.get(script)
-            if compiled is None:
-                compiled = self.bytecode_cache.put(
-                    script,
-                    _compile.compile_script_bytecode(
-                        self.parse_cache.get(script), script, self),
-                )
-            return compiled
-        compiled = self.compile_cache.get(script)
+        compiled = self.bytecode_cache.get(script)
         if compiled is None:
-            compiled = self.compile_cache.put(
+            compiled = self.bytecode_cache.put(
                 script,
-                _compile.compile_script(self.parse_cache.get(script),
-                                        script),
+                _compile.compile_script_bytecode(
+                    self.parse_cache.get(script), script, self),
             )
         return compiled
 
@@ -995,27 +966,24 @@ class Interp:
     def cache_stats(self):
         """Hit/miss/eviction counters for every evaluation cache.
 
-        ``parse``, ``compile`` and ``bytecode`` are per-interpreter;
+        ``parse`` and ``bytecode`` are per-interpreter;
         ``expr`` is the process-wide AST cache shared by all
         interpreters.
         """
         return {
             "parse": self.parse_cache.stats(),
-            "compile": self.compile_cache.stats(),
             "bytecode": self.bytecode_cache.stats(),
             "expr": _expr_ast_cache.stats(),
         }
 
     def reset_cache_stats(self):
         self.parse_cache.reset_stats()
-        self.compile_cache.reset_stats()
         self.bytecode_cache.reset_stats()
         _expr_ast_cache.reset_stats()
 
     def clear_caches(self):
         """Drop all cached parses/compiles (the expr cache is global)."""
         self.parse_cache.clear()
-        self.compile_cache.clear()
         self.bytecode_cache.clear()
         _expr_ast_cache.clear()
 

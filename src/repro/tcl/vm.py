@@ -63,20 +63,17 @@ from repro.tcl.bytecode import (
     E_TRUTH,
     E_UNARY,
     OP_CALL,
-    OP_CONSTEXPR,
     OP_EXPR,
     OP_FOR,
     OP_FOREACH,
     OP_IF,
     OP_INCR,
     OP_SET,
-    OP_SETDEAD,
     OP_SETRD,
     OP_WHILE,
     W_CMD,
     W_CODE,
     W_CONST,
-    W_FOLDED,
     W_VAR,
     W_VARIDX,
     disassemble,
@@ -157,56 +154,7 @@ def _word(interp, word):
     if kind == W_VARIDX:
         name, index_parts = word[1]
         return interp.get_var(name, interp._substitute_parts(index_parts))
-    if kind == W_FOLDED:
-        return _folded_word(interp, word)
     return interp._substitute_parts(word[1])
-
-
-def _folded_word(interp, word):
-    """A ``[expr ...]`` word whose block folded to a single constant.
-
-    Pays exactly what ``_run_block`` over the one-op block would -- the
-    block-entry work unit (raising bare on a trip, like ``_run_block``'s
-    pre-try bump), then the expr statement's unit at nesting+1 (a trip
-    there seeds errorInfo from the block source, like ``run`` raising
-    out of ``_run_block``) -- then returns the precomputed result
-    without entering the dispatch loop.
-    """
-    code = word[1]
-    op = code.ops[0]  # the OP_CONSTEXPR
-    cell = op[1]
-    if cell[0] != interp.cmds_generation:
-        if interp.commands.get("expr") is op[7]:
-            cell[0] = interp.cmds_generation
-        else:
-            # ``rename expr``: run the real block, whose own binding
-            # check dispatches the fallback (and counts the deopt).
-            return _run_block(interp, code)
-    nesting = interp._nesting
-    if nesting >= interp.recursion_limit:
-        raise interp._recursion_error()
-    count = interp.cmd_count + 1
-    interp.cmd_count = count
-    if count >= interp._next_check:
-        interp._check_limits(count)
-    if nesting >= interp._peak_nesting:
-        interp._peak_nesting = nesting + 1
-    interp._nesting = nesting + 1
-    try:
-        count = interp.cmd_count + 1
-        interp.cmd_count = count
-        if count >= interp._next_check:
-            interp._check_limits(count)
-        value = op[2]
-        if op[3] is not None:
-            interp._vm_num = op[3]
-            interp._vm_num_str = value
-        return value
-    except TclError as err:
-        interp._start_errorinfo(err, code.source)
-        raise
-    finally:
-        interp._nesting = nesting
 
 
 def _firewall(interp, cmdname, exc, text, line):
@@ -405,12 +353,6 @@ def _cond(interp, cond):
     identical bare-boolean-word fallback on TclError, identical string
     coercion of the result.
     """
-    truth = cond[4]
-    if truth is not None:
-        # Optimizer-proven constant condition (the program is a single
-        # E_CONST whose coercion cannot raise): running it reads no
-        # state and bumps no counters, so the answer is precomputed.
-        return truth
     fused = cond[3]
     if fused is not None:
         cell = fused[0]
@@ -567,36 +509,6 @@ def run(interp, code):
             _fill_op_cell(interp, cell, name)
             continue
 
-        if kind == OP_SETDEAD:
-            # An OP_SET whose constant value the optimizer proved dead
-            # (the adjacent next op definitely overwrites it with no
-            # intervening reader).  Identical to OP_SET except the
-            # fast path skips the memory write; every slow-path
-            # condition -- traces added after compilation, links,
-            # arrays -- performs the real assignment so the observable
-            # trace sequence is unchanged.
-            _k, cell, name, word, line, fallback, func = op
-            if cell[0] != interp.cmds_generation:
-                if interp.commands.get("set") is func:
-                    cell[0] = interp.cmds_generation
-                else:
-                    interp._vm_stats["deopts"] += 1
-                    result = fallback.execute(interp)
-                    continue
-            value = word[1]  # always W_CONST
-            if cell[2] is frames[-1] and cell[1] == interp.var_epoch:
-                var = cell[3]
-                if var.kind == 0 and var.traces is None:
-                    count = interp.cmd_count + 1
-                    interp.cmd_count = count
-                    if count >= interp._next_check:
-                        interp._check_limits(count)
-                    result = value
-                    continue
-            result = interp.call(["set", name, value], line)
-            _fill_op_cell(interp, cell, name)
-            continue
-
         if kind == OP_SETRD:
             _k, cell, name, line, fallback, func = op
             if cell[0] != interp.cmds_generation:
@@ -654,31 +566,6 @@ def run(interp, code):
                 raise
             except Exception as exc:
                 raise _firewall(interp, "expr", exc, text, line) from None
-            continue
-
-        if kind == OP_CONSTEXPR:
-            # An OP_EXPR whose program folded to one constant: same
-            # binding check, same single work unit (the bump sits
-            # outside any frame-text recording, exactly like OP_EXPR's
-            # pre-try bump), precomputed result.  The stored string's
-            # identity is stable, so the integer handoff to a
-            # consuming ``set`` keeps working across executions.
-            _k, cell, value, num, text, line, fallback, func = op
-            if cell[0] != interp.cmds_generation:
-                if interp.commands.get("expr") is func:
-                    cell[0] = interp.cmds_generation
-                else:
-                    interp._vm_stats["deopts"] += 1
-                    result = fallback.execute(interp)
-                    continue
-            count = interp.cmd_count + 1
-            interp.cmd_count = count
-            if count >= interp._next_check:
-                interp._check_limits(count)
-            result = value
-            if num is not None:
-                interp._vm_num = num
-                interp._vm_num_str = value
             continue
 
         if kind == OP_IF:
@@ -1108,7 +995,7 @@ def cmd_info_bytecode(interp, argv):
     stats = interp.bytecode_cache.stats()
     vm_stats = interp._vm_stats
     return list_to_string([
-        "engine", interp.engine,
+        "engine", "vm" if interp.compile_enabled else "tree",
         "hits", str(stats["hits"]),
         "misses", str(stats["misses"]),
         "evictions", str(stats["evictions"]),
@@ -1119,7 +1006,4 @@ def cmd_info_bytecode(interp, argv):
         "inlineOps", str(vm_stats["inline_ops"]),
         "genericOps", str(vm_stats["generic_ops"]),
         "deopts", str(vm_stats["deopts"]),
-        "optimize", "1" if interp.optimize else "0",
-        "folded", str(vm_stats["folded"]),
-        "elided", str(vm_stats["elided"]),
     ])

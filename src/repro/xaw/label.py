@@ -107,7 +107,6 @@ class Label(ThreeD):
         # subclass with its own expose may place text differently.
         if (changed == ["label"] and self.realized
                 and self.window is not None
-                and self.window.display.use_regions
                 and type(self).expose is Label.expose
                 and self.resources.get("bitmap") is None
                 and old.get("label") != self.resources.get("label")):

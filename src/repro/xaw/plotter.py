@@ -48,11 +48,10 @@ class _Graph(ThreeD):
         self.resources["data"] = [str(i) for i in items]
         if not self.realized or self.window is None:
             return
-        if self.window.display.use_regions:
-            rects = self._append_rects(old_values, self.values())
-            if rects is not None:
-                self.update_rects(rects)
-                return
+        rects = self._append_rects(old_values, self.values())
+        if rects is not None:
+            self.update_rects(rects)
+            return
         self.redraw()
 
     def _append_rects(self, old_values, new_values):

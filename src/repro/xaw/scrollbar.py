@@ -93,7 +93,7 @@ class Scrollbar(ThreeD):
         if not self.realized or self.window is None:
             return
         display = self.window.display
-        if old_rect is None or not display.use_regions:
+        if old_rect is None:
             self.redraw()
             return
         new_rect = self._thumb_rect()
@@ -189,9 +189,7 @@ class StripChart(ThreeD):
         if trimmed:
             self.samples = self.samples[-limit:]
         if self.realized and self.window is not None:
-            display = self.window.display
-            if (display.use_regions and not trimmed
-                    and self._scale() == old_scale
+            if (not trimmed and self._scale() == old_scale
                     and old_count < self.window.width):
                 self.update_rects([(old_count, 0, old_count + 1,
                                     self.window.height)])

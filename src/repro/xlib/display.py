@@ -19,7 +19,7 @@ import numpy
 from repro.xlib import keysym as _keysym
 from repro.xlib import xtypes
 from repro.xlib.events import XEvent
-from repro.xlib.region import NaiveRegion, Region
+from repro.xlib.region import Region
 
 
 class XError(Exception):
@@ -55,6 +55,10 @@ class Window:
         # While a widget repaints one damage rect, the toolkit installs
         # the rect here and every drawing primitive clips against it.
         self.paint_clip = None
+        # True once the window has painted: from then on it has pixels
+        # on screen, and uncovering it must repaint what lies beneath.
+        # A window that never painted reveals nothing.
+        self.on_screen = False
         if parent is not None:
             parent.children.append(self)
 
@@ -91,17 +95,42 @@ class Window:
         if self.viewable():
             self.display.damage_subtree(self)
 
+    def absolute_box(self):
+        ax, ay = self.absolute_origin()
+        return ax, ay, ax + self.width, ay + self.height
+
+    def _uncover_subtree(self):
+        """Hand the display the box of every window in this viewable
+        subtree that has painted: those pixels are about to lose their
+        window (unmap, move)."""
+        if not self.viewable():
+            return
+        display = self.display
+        stack = [self]
+        while stack:
+            window = stack.pop()
+            if window.on_screen:
+                window.on_screen = False
+                display.uncover(window.absolute_box())
+            stack.extend(child for child in window.children
+                         if child.mapped and not child.destroyed)
+
     def unmap(self):
         if not self.mapped:
             return
+        self._uncover_subtree()
         self.mapped = False
         self.display._notify_structure(self, xtypes.UnmapNotify)
 
     def destroy(self):
         if self.destroyed:
             return
+        # Children are destroyed first, while this window is still
+        # viewable, so each uncovers its own box.
         for child in list(self.children):
             child.destroy()
+        if self.on_screen and self.viewable():
+            self.display.uncover(self.absolute_box())
         self.destroyed = True
         self.mapped = False
         if self.parent is not None and self in self.parent.children:
@@ -113,6 +142,13 @@ class Window:
                   border_width=None):
         old_x, old_y = self.x, self.y
         old_w, old_h = self.width, self.height
+        old_box = None
+        if self.viewable():
+            if x not in (None, old_x) or y not in (None, old_y):
+                # The whole subtree moves off its painted pixels.
+                self._uncover_subtree()
+            elif self.on_screen:
+                old_box = self.absolute_box()
         changed = False
         for attr, value in (("x", x), ("y", y), ("width", width),
                             ("height", height), ("border_width", border_width)):
@@ -121,6 +157,9 @@ class Window:
                 changed = True
         if changed:
             self.display._notify_structure(self, xtypes.ConfigureNotify)
+            if old_box is not None:
+                # A shrink uncovers the old box minus the new one.
+                self.display.uncover(old_box, self.absolute_box())
             if self.viewable():
                 self.display.damage_configure(self, old_x, old_y,
                                               old_w, old_h)
@@ -135,7 +174,7 @@ class Window:
             return
         display = self.display
         revealed = None
-        if display.use_regions and self.viewable():
+        if self.viewable():
             index = parent.children.index(self)
             ox, oy = self.absolute_origin()
             revealed = display.new_region()
@@ -149,12 +188,8 @@ class Window:
             revealed.intersect_rect(0, 0, self.width, self.height)
         parent.children.remove(self)
         parent.children.append(self)
-        if revealed is not None:
-            if not revealed.is_empty():
-                display.damage_region_subtree(self, revealed)
-        elif self.viewable():
-            # Eager-expose spec path: repaint the whole subtree.
-            display.expose(self)
+        if revealed is not None and not revealed.is_empty():
+            display.damage_region_subtree(self, revealed)
 
     def select_input(self, event_mask):
         self.event_mask = event_mask
@@ -184,17 +219,11 @@ class Screen:
 class Display:
     """One virtual X server connection."""
 
-    def __init__(self, name=":0", use_regions=True, naive_regions=False):
+    def __init__(self, name=":0"):
         self.name = name
-        # use_regions=False is the eager-expose executable spec: every
-        # map/configure/raise immediately queues full-window exposes for
-        # the whole subtree, exactly as before the damage subsystem.
-        # naive_regions=True keeps damage tracking but swaps the band
-        # Region for the rect-list spec (differential testing).
-        self.use_regions = use_regions
-        self.naive_regions = naive_regions
         self._damage = {}  # wid -> (window, region), insertion ordered
         self._in_damage_flush = False
+        self._uncovered = None  # absolute Region awaiting a repaint
         self.render_stats = self._zero_render_stats()
         self.screen = Screen(self)
         self.queue = collections.deque()
@@ -288,7 +317,10 @@ class Display:
     # Damage tracking
 
     def new_region(self):
-        return NaiveRegion() if self.naive_regions else Region()
+        """The region factory every damage computation goes through
+        (the render differential swaps the rect-list specification in
+        here)."""
+        return Region()
 
     @staticmethod
     def _zero_render_stats():
@@ -313,17 +345,10 @@ class Display:
         stats["drawn_pixels"] += (box[2] - box[0]) * (box[3] - box[1])
 
     def damage_rect(self, window, x, y, width, height):
-        """Report a window-relative dirty rect.
-
-        On the damage path it accumulates per-window until a flush point
-        coalesces it into a minimal Expose series; on the eager spec
-        path it degrades to an immediate full-window Expose."""
+        """Report a window-relative dirty rect.  It accumulates
+        per-window until a flush point coalesces it into a minimal
+        Expose series."""
         if window.destroyed or not window.viewable():
-            return
-        if not self.use_regions:
-            if window.event_mask & xtypes.ExposureMask:
-                self._emit_expose(window, 0, 0, window.width, window.height,
-                                  0)
             return
         x0, y0 = max(0, x), max(0, y)
         x1 = min(window.width, x + width)
@@ -352,9 +377,6 @@ class Display:
     def damage_subtree(self, window):
         """Full damage for a window and its mapped descendants (map,
         move: every absolute pixel position changed)."""
-        if not self.use_regions:
-            self.expose(window)
-            return
         self.damage_window(window)
         for child in window.children:
             if child.mapped and not child.destroyed:
@@ -375,9 +397,6 @@ class Display:
 
     def damage_configure(self, window, old_x, old_y, old_w, old_h):
         """Damage after a configure using old-geometry algebra."""
-        if not self.use_regions:
-            self.expose(window)
-            return
         if (window.x, window.y) != (old_x, old_y):
             # Window content does not move with the window on the shared
             # screen framebuffer, so a move invalidates everything the
@@ -393,9 +412,39 @@ class Display:
             else:
                 # A repainting parent overwrites its children's pixels
                 # on the shared framebuffer, so the whole subtree must
-                # repaint -- the same recursion the eager expose() does.
+                # repaint.
                 self.damage_subtree(window)
         # A border_width-only change paints nothing in this simulation.
+
+    def uncover(self, box, keep=None):
+        """Note an absolute box whose pixels lost their window (it
+        moved, shrank, was unmapped or destroyed), less the box ``keep``
+        the window still covers.  The next damage flush repaints the
+        union of all such boxes once.
+
+        This server paints no window backgrounds (each client clears
+        its own on Expose), so the uncovered pixels are blanked to the
+        root background and every window overlapping them is damaged
+        there -- the same result as repainting the whole screen."""
+        if self._uncovered is None:
+            self._uncovered = self.new_region()
+        region = self.new_region()
+        region.add_rect(*box)
+        if keep is not None:
+            region.subtract_rect(*keep)
+        self._uncovered.union(region)
+
+    def _repaint_uncovered(self):
+        region, self._uncovered = self._uncovered, None
+        region.intersect_rect(0, 0, self.screen.width, self.screen.height)
+        if region.is_empty():
+            return
+        framebuffer = self.screen.framebuffer
+        pixel = self.root.background_pixel
+        for box in region.rects():
+            framebuffer[box[1]:box[3], box[0]:box[2]] = pixel
+            self.record_draw(box)
+        self.damage_region_subtree(self.root, region)
 
     def take_expose_series(self, window, region):
         """Coalesce a region into a count-series of Expose events
@@ -422,7 +471,11 @@ class Display:
         series and queue them.  Runs automatically before the queue is
         inspected, so callers of pending()/next_event() always observe
         the events their damage implies."""
-        if not self._damage or self._in_damage_flush:
+        if self._in_damage_flush:
+            return
+        if self._uncovered is not None:
+            self._repaint_uncovered()
+        if not self._damage:
             return
         self._in_damage_flush = True
         try:
@@ -438,33 +491,6 @@ class Display:
                         self.put_event(event)
         finally:
             self._in_damage_flush = False
-
-    def _emit_expose(self, window, x, y, width, height, count):
-        stats = self.render_stats
-        stats["expose_events"] += 1
-        stats["exposed_pixels"] += width * height
-        self.put_event(XEvent(xtypes.Expose, window, x=x, y=y, width=width,
-                              height=height, count=count))
-
-    def expose(self, window, x=0, y=0, width=None, height=None, count=0):
-        """Queue an Expose for a window (and viewable descendants).
-
-        This is the eager path (the ``use_regions=False`` executable
-        spec, and explicit full-subtree repaints).  Each window receives
-        exactly one full event, so per-window series trivially end with
-        ``count=0`` as the X contract requires."""
-        if not window.viewable():
-            return
-        if window.event_mask & xtypes.ExposureMask:
-            self._emit_expose(
-                window, x, y,
-                window.width if width is None else width,
-                window.height if height is None else height,
-                count,
-            )
-        for child in window.children:
-            if child.mapped:
-                self.expose(child)
 
     # ------------------------------------------------------------------
     # Grabs, focus, selections

@@ -90,6 +90,7 @@ def _paint_box(target, x, y, w, h):
                      None if window is None else window.paint_clip)
     if box is not None and window is not None:
         window.display.record_draw(box)
+        window.on_screen = True
     return fb, box
 
 

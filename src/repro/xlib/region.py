@@ -10,11 +10,10 @@ makes the X server's miRegionOp fast and is exactly what we need for
 damage tracking: unioning many small dirty rects degrades gracefully,
 and iteration yields a minimal list of disjoint rectangles.
 
-:class:`NaiveRegion` is the executable specification: a flat list of
-disjoint rectangles maintained by rectangle splitting.  It implements
-the same API and is differentially tested against the band
-implementation on randomized rect sequences (tests/test_region.py).
-All coordinates are half-open boxes ``(x0, y0, x1, y1)``.
+Its executable specification, a flat rect list maintained by rectangle
+splitting, lives with the tests (``tests/oracles/region.py``) and is
+differentially tested against this implementation on randomized rect
+sequences (tests/test_region.py).  All coordinates are half-open boxes ``(x0, y0, x1, y1)``.
 """
 
 
@@ -239,144 +238,3 @@ class Region:
 
     def __repr__(self):  # pragma: no cover
         return "Region(%r)" % (self.rects(),)
-
-
-# ----------------------------------------------------------------------
-# The executable specification: a flat list of disjoint rectangles.
-
-def _rect_intersect(a, b):
-    x0 = max(a[0], b[0])
-    y0 = max(a[1], b[1])
-    x1 = min(a[2], b[2])
-    y1 = min(a[3], b[3])
-    if x0 < x1 and y0 < y1:
-        return (x0, y0, x1, y1)
-    return None
-
-
-def _rect_subtract(a, b):
-    """``a`` minus ``b`` as up to four disjoint rects (top, bottom,
-    left, right slabs)."""
-    if _rect_intersect(a, b) is None:
-        return [a]
-    ax0, ay0, ax1, ay1 = a
-    bx0, by0, bx1, by1 = b
-    out = []
-    if by0 > ay0:
-        out.append((ax0, ay0, ax1, by0))
-    if by1 < ay1:
-        out.append((ax0, by1, ax1, ay1))
-    mid_y0 = max(ay0, by0)
-    mid_y1 = min(ay1, by1)
-    if bx0 > ax0:
-        out.append((ax0, mid_y0, bx0, mid_y1))
-    if bx1 < ax1:
-        out.append((bx1, mid_y0, ax1, mid_y1))
-    return out
-
-
-class NaiveRegion:
-    """Rect-list region: same API as :class:`Region`, kept as the
-    executable spec for differential testing (and the ``naive_regions``
-    A/B hatch on the Display)."""
-
-    __slots__ = ("_rects",)
-
-    def __init__(self, rect=None):
-        self._rects = []
-        if rect is not None:
-            self.add_rect(*rect)
-
-    def add_rect(self, x0, y0, x1, y1):
-        if x0 >= x1 or y0 >= y1:
-            return
-        pieces = [(x0, y0, x1, y1)]
-        for r in self._rects:
-            pieces = [p for piece in pieces for p in _rect_subtract(piece, r)]
-            if not pieces:
-                return
-        self._rects.extend(pieces)
-
-    def union(self, other):
-        for r in other.rects():
-            self.add_rect(*r)
-
-    def intersect(self, other):
-        out = []
-        for r in self._rects:
-            for o in other.rects():
-                piece = _rect_intersect(r, o)
-                if piece is not None:
-                    out.append(piece)
-        self._rects = out
-
-    def subtract(self, other):
-        for r in other.rects():
-            self.subtract_rect(*r)
-
-    def intersect_rect(self, x0, y0, x1, y1):
-        if x0 >= x1 or y0 >= y1:
-            self._rects = []
-            return
-        box = (x0, y0, x1, y1)
-        out = []
-        for r in self._rects:
-            piece = _rect_intersect(r, box)
-            if piece is not None:
-                out.append(piece)
-        self._rects = out
-
-    def subtract_rect(self, x0, y0, x1, y1):
-        if x0 >= x1 or y0 >= y1:
-            return
-        box = (x0, y0, x1, y1)
-        self._rects = [p for r in self._rects for p in _rect_subtract(r, box)]
-
-    def translate(self, dx, dy):
-        self._rects = [(x0 + dx, y0 + dy, x1 + dx, y1 + dy)
-                       for x0, y0, x1, y1 in self._rects]
-
-    def clear(self):
-        self._rects = []
-
-    def copy(self):
-        clone = NaiveRegion()
-        clone._rects = list(self._rects)
-        return clone
-
-    def is_empty(self):
-        return not self._rects
-
-    def __bool__(self):
-        return bool(self._rects)
-
-    def rects(self):
-        return list(self._rects)
-
-    def bounds(self):
-        if not self._rects:
-            return None
-        return (
-            min(r[0] for r in self._rects),
-            min(r[1] for r in self._rects),
-            max(r[2] for r in self._rects),
-            max(r[3] for r in self._rects),
-        )
-
-    def area(self):
-        return sum((x1 - x0) * (y1 - y0) for x0, y0, x1, y1 in self._rects)
-
-    def contains_point(self, x, y):
-        return any(x0 <= x < x1 and y0 <= y < y1
-                   for x0, y0, x1, y1 in self._rects)
-
-    def __iter__(self):
-        return iter(self.rects())
-
-    def __repr__(self):  # pragma: no cover
-        return "NaiveRegion(%r)" % (self._rects,)
-
-
-def make_region(naive=False, rect=None):
-    """Region factory: the band implementation, or the rect-list spec."""
-    return NaiveRegion(rect) if naive else Region(rect)

@@ -30,32 +30,23 @@ class XtAppContext:
     """One application context (XtCreateApplicationContext)."""
 
     def __init__(self, app_name="wafe", app_class="Wafe",
-                 display_name=":0", use_selectors=True, use_regions=True,
-                 naive_regions=False, core=None):
+                 display_name=":0", core=None):
         self.app_name = app_name
         self.app_class = app_class
-        # Damage-rendering A/B hatches, applied to every display this
-        # context opens (use_regions=False is the eager-expose spec,
-        # naive_regions=True swaps in the rect-list region spec).
-        self.use_regions = use_regions
-        self.naive_regions = naive_regions
         self.default_display = open_display(display_name)
-        self._apply_region_mode(self.default_display)
         self.displays = [self.default_display]
         self.converters = ConverterRegistry()
         self.database = XrmDatabase()
         self.global_actions = {}
         self._window_widgets = {}
         # The unified event core: every timer, fd watch and work proc
-        # goes through it (``use_selectors=False`` keeps the historical
-        # raw-select pass as the executable spec).  A server injects one
-        # shared core into many contexts (one per session); only the
-        # owning context installs the global hooks or may shut it down,
-        # and a non-owning context tracks every source it registers so
-        # session teardown can sweep them off the shared loop.
+        # goes through it.  A server injects one shared core into many
+        # contexts (one per session); only the owning context installs
+        # the global hooks or may shut it down, and a non-owning context
+        # tracks every source it registers so session teardown can
+        # sweep them off the shared loop.
         self.owns_core = core is None
-        self.core = EventCore(use_selectors=use_selectors) \
-            if core is None else core
+        self.core = EventCore() if core is None else core
         if self.owns_core:
             self.core.error_handler = self.report_exception
             self.core.report = self.report_message
@@ -82,14 +73,9 @@ class XtAppContext:
     # ------------------------------------------------------------------
     # Displays / widgets
 
-    def _apply_region_mode(self, display):
-        display.use_regions = self.use_regions
-        display.naive_regions = self.naive_regions
-
     def use_display(self, name):
         display = open_display(name)
         if display not in self.displays:
-            self._apply_region_mode(display)
             self.displays.append(display)
         return display
 
@@ -173,14 +159,9 @@ class XtAppContext:
         return slist
 
     def query_resource(self, widget, resource_name, resource_class):
-        if self.database.use_search_lists:
-            slist = self.resource_search_list(widget)
-            return self.database.search(slist, quark(resource_name),
-                                        quark(resource_class))
-        names = [self.app_name] + widget.name_path()[1:] + [resource_name]
-        classes = [self.app_class] + widget.class_path()[1:] + \
-            [resource_class]
-        return self.database.query_naive(names, classes)
+        slist = self.resource_search_list(widget)
+        return self.database.search(slist, quark(resource_name),
+                                    quark(resource_class))
 
     # ------------------------------------------------------------------
     # Actions

@@ -50,11 +50,13 @@ Robustness-first design points (docs/ROBUSTNESS.md, "The event core"):
 * **Accounting.**  Register/unregister/dispatch/error counters are
   kept for every source kind and surfaced as ``info eventstats``.
 
-The previous raw-``select`` loop is retained behind
-``EventCore(use_selectors=False)`` as an executable specification --
-the same A/B hatch style as ``Interp(compile=False)`` and
-``database.use_search_lists`` -- and benchmarks/bench_event_core.py
-gates the selector path against it at 1k watched fds.
+The previous raw-``select`` loop is the executable specification of
+the readiness primitives (:meth:`EventCore._select_ready`,
+:meth:`EventCore._wait_writable`); it lives with the tests as an
+``EventCore`` subclass (``tests/oracles/eventcore.py``) that the event
+core suite runs every test against as well, and
+benchmarks/bench_event_core.py gates the selector path against it at
+1k watched fds.
 """
 
 import errno
@@ -112,11 +114,9 @@ class EventCore:
     #: Consecutive handler failures before an fd watch is quarantined.
     QUARANTINE_STRIKES = 3
 
-    def __init__(self, use_selectors=True, clock=None):
-        self.use_selectors = bool(use_selectors)
+    def __init__(self, clock=None):
         self._clock = clock if clock is not None else _time.monotonic
-        self._selector = (selectors.DefaultSelector()
-                          if self.use_selectors else None)
+        self._selector = selectors.DefaultSelector()
         self._watches = {}        # watch_id -> _Watch
         self._fd_entries = {}     # fd -> {"r": [watches], "w": [watches]}
         self._fd_generation = {}  # fd -> int, bumped on register/unregister
@@ -141,8 +141,6 @@ class EventCore:
     # Introspection
 
     def backend_name(self):
-        if not self.use_selectors:
-            return "select"
         return "selectors:%s" % type(self._selector).__name__
 
     def has_sources(self):
@@ -207,8 +205,6 @@ class EventCore:
 
     def _sync_selector(self, fd, entry, had_mask):
         """Mirror an entry's watch lists into the selector."""
-        if self._selector is None:
-            return
         mask = self._entry_mask(entry)
         sel_mask = ((selectors.EVENT_READ if mask & _READ else 0)
                     | (selectors.EVENT_WRITE if mask & _WRITE else 0))
@@ -448,46 +444,20 @@ class EventCore:
     def _select_ready(self, timeout):
         """Wait for readiness; returns [(fd, mask, generation)] with the
         generation snapshotted at wait time (the fd-recycling guard)."""
-        if self.use_selectors:
-            try:
-                events = self._selector.select(timeout)
-            except InterruptedError:
-                self._counters["eintr_retries"] += 1
-                return []
-            except OSError:
-                self.reap_dead_fds()
-                return []
-            ready = []
-            for key, sel_mask in events:
-                mask = ((_READ if sel_mask & selectors.EVENT_READ else 0)
-                        | (_WRITE if sel_mask & selectors.EVENT_WRITE
-                           else 0))
-                ready.append((key.fd, mask,
-                              self._fd_generation.get(key.fd)))
-            return ready
-        # The executable spec: the historical select.select pass.
-        read_fds = [fd for fd, e in self._fd_entries.items() if e["r"]]
-        write_fds = [fd for fd, e in self._fd_entries.items() if e["w"]]
-        if not read_fds and not write_fds:
-            if timeout:
-                self._sleep(timeout)
-            return []
         try:
-            readable, writable, __ = select.select(read_fds, write_fds, [],
-                                                   timeout)
+            events = self._selector.select(timeout)
         except InterruptedError:
             self._counters["eintr_retries"] += 1
             return []
-        except (OSError, ValueError):
+        except OSError:
             self.reap_dead_fds()
             return []
-        ready = {}
-        for fd in readable:
-            ready[fd] = ready.get(fd, 0) | _READ
-        for fd in writable:
-            ready[fd] = ready.get(fd, 0) | _WRITE
-        return [(fd, mask, self._fd_generation.get(fd))
-                for fd, mask in ready.items()]
+        ready = []
+        for key, sel_mask in events:
+            mask = ((_READ if sel_mask & selectors.EVENT_READ else 0)
+                    | (_WRITE if sel_mask & selectors.EVENT_WRITE else 0))
+            ready.append((key.fd, mask, self._fd_generation.get(key.fd)))
+        return ready
 
     def poll(self, timeout=0.0):
         """One readiness pass: wait up to ``timeout`` and dispatch every
@@ -602,25 +572,23 @@ class EventCore:
             if remaining <= 0:
                 return False
             try:
-                if self.use_selectors:
-                    probe = selectors.DefaultSelector()
-                    try:
-                        probe.register(fd, selectors.EVENT_WRITE)
-                        ready = probe.select(remaining)
-                    finally:
-                        probe.close()
-                    if ready:
-                        return True
-                else:
-                    __, writable, __ = select.select([], [fd], [],
-                                                     remaining)
-                    if writable:
-                        return True
+                if self._wait_writable(fd, remaining):
+                    return True
             except InterruptedError:
                 self._counters["eintr_retries"] += 1
                 continue
             except (OSError, ValueError):
                 return False
+
+    def _wait_writable(self, fd, timeout):
+        """One bounded wait for ``fd`` to become writable (may raise
+        InterruptedError/OSError/ValueError; the caller retries)."""
+        probe = selectors.DefaultSelector()
+        try:
+            probe.register(fd, selectors.EVENT_WRITE)
+            return bool(probe.select(timeout))
+        finally:
+            probe.close()
 
     def shutdown(self, drain_timeout=0.5):
         """Graceful shutdown: give pending writer watches a bounded
@@ -656,10 +624,9 @@ class EventCore:
         self._timers = []
         self._timer_map.clear()
         self._work_procs = []
-        if self._selector is not None:
-            try:
-                self._selector.close()
-            except OSError:
-                pass
-            self._selector = selectors.DefaultSelector()
+        try:
+            self._selector.close()
+        except OSError:
+            pass
+        self._selector = selectors.DefaultSelector()
         return leaked

@@ -168,20 +168,14 @@ class Widget:
         # this widget's name/class quark chains; every resource below
         # is then a cheap walk over it (XrmQGetSearchResource).
         database = self.app.database
-        search_list = (self.app.resource_search_list(self)
-                       if database.use_search_lists else None)
+        search_list = self.app.resource_search_list(self)
         for resource in self.class_resources():
             if resource.name in args:
                 value = converters.convert(self, resource.type,
                                            args[resource.name])
             else:
-                if search_list is not None:
-                    from_db = database.search(search_list,
-                                              resource.name_quark,
-                                              resource.class_quark)
-                else:
-                    from_db = self.app.query_resource(
-                        self, resource.name, resource.class_)
+                from_db = database.search(search_list, resource.name_quark,
+                                          resource.class_quark)
                 if from_db is not None:
                     value = converters.convert(self, resource.type, from_db)
                 else:
@@ -526,16 +520,11 @@ class Widget:
 
     def update_rects(self, rects):
         """Partial redisplay: repaint the given window-relative half-open
-        boxes (x0, y0, x1, y1) now, clipped and coalesced.  On the
-        eager-expose spec path this degrades to a full redraw, which is
-        what makes the damage path's output byte-comparable to it."""
+        boxes (x0, y0, x1, y1) now, clipped and coalesced."""
         window = self.window
         if window is None or not window.viewable():
             return
         display = window.display
-        if not display.use_regions:
-            self.redraw()
-            return
         region = display.new_region()
         for x0, y0, x1, y1 in rects:
             region.add_rect(x0, y0, x1, y1)

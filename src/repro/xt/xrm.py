@@ -14,23 +14,21 @@ name matches beat class matches beat ``?``, tight bindings beat loose
 skips, and among equal matches the later-added entry wins (which gives
 ``mergeResources`` its override behaviour).
 
-Two lookup engines share those semantics:
-
-* the *naive* matcher (:meth:`XrmDatabase.query_naive`) scans every
-  entry and scores it with a recursive matcher -- the pre-X11R5
-  algorithm, kept as the executable specification;
-* the *quark tree* (the default :meth:`XrmDatabase.query`): components
-  are interned to integer quarks (:func:`quark`), entries live in a
-  tree of nodes keyed by ``(quark, tight/loose)``, and lookup is split
-  into :meth:`XrmDatabase.get_search_list` -- computed once per widget
-  path -- and :meth:`XrmDatabase.search` -- a cheap walk over that
-  list, run once per resource.  This mirrors X11R5's
-  ``XrmQGetSearchList`` / ``XrmQGetSearchResource`` pair.
+Lookup runs on a *quark tree*: components are interned to integer
+quarks (:func:`quark`), entries live in a tree of nodes keyed by
+``(quark, tight/loose)``, and lookup is split into
+:meth:`XrmDatabase.get_search_list` -- computed once per widget path --
+and :meth:`XrmDatabase.search` -- a cheap walk over that list, run once
+per resource.  This mirrors X11R5's ``XrmQGetSearchList`` /
+``XrmQGetSearchResource`` pair.
 
 A generation counter invalidates memoised search lists whenever the
 database changes (``mergeResources``, ``-xrm``), so dynamic merges stay
-correct; ``tests/test_xt_xrm.py`` holds a differential test pinning the
-two engines to byte-identical answers on randomized databases.
+correct.  The pre-X11R5 algorithm -- scan every entry, score it with a
+recursive matcher -- is the executable precedence specification; it
+lives with the tests (``tests/oracles/xrm.py``), and
+``tests/test_xrm_quarks.py`` pins the tree to byte-identical answers
+on randomized databases.
 """
 
 import time as _time
@@ -218,9 +216,6 @@ class XrmDatabase:
         self.profile = False
         self.profile_s = 0.0
         self.profile_lookups = 0
-        # A/B escape hatch for the benchmarks: route ``query`` through
-        # the retained naive matcher instead of the quark tree.
-        self.use_search_lists = True
 
     def __len__(self):
         return len(self._entries)
@@ -347,7 +342,7 @@ class XrmDatabase:
         # is ``loose_only`` after a level skip: per entry the skip is
         # licensed by the *next* component's loose binding, so after
         # skipping only loose continuations remain legal.  The score is
-        # the per-level quality vector of the naive matcher, which
+        # the per-level quality vector of the reference matcher, which
         # makes "sort by score" reproduce its precedence exactly.
         states = {(id(self._root), False): (self._root, False, ())}
         for nq, cq in zip(name_quarks, class_quarks):
@@ -413,7 +408,7 @@ class XrmDatabase:
         """Per-resource phase: walk a search list for one resource.
 
         Within a node the final level obeys the same quality order the
-        naive matcher scores: tight name/class/``?`` before loose
+        reference matcher scores: tight name/class/``?`` before loose
         name/class/``?``.
         """
         self._stat_searches += 1
@@ -457,8 +452,6 @@ class XrmDatabase:
         """
         if not names:
             return None
-        if not self.use_search_lists:
-            return self.query_naive(names, classes)
         if self.profile:
             start = _time.perf_counter()
             value = self._query_tree(names, classes)
@@ -471,34 +464,6 @@ class XrmDatabase:
         slist = self.get_search_list(quark_list(names[:-1]),
                                      quark_list(classes[:-1]))
         return self.search(slist, quark(names[-1]), quark(classes[-1]))
-
-    def query_naive(self, names, classes):
-        """The retained pre-quark matcher: linear scan, recursive
-        scoring.  Kept as the executable precedence specification; the
-        differential test pins :meth:`query` against it."""
-        if self.profile:
-            start = _time.perf_counter()
-            value = self._query_naive(names, classes)
-            self.profile_s += _time.perf_counter() - start
-            self.profile_lookups += 1
-            return value
-        return self._query_naive(names, classes)
-
-    def _query_naive(self, names, classes):
-        best_score = None
-        best_value = None
-        best_serial = -1
-        for entry in self._entries:
-            score = _match(entry, 0, names, classes, 0)
-            if score is None:
-                continue
-            key = tuple(score)
-            if (best_score is None or key > best_score
-                    or (key == best_score and entry.serial > best_serial)):
-                best_score = key
-                best_value = entry.value
-                best_serial = entry.serial
-        return best_value
 
     # ------------------------------------------------------------------
     # Introspection (``info xrmstats``)
@@ -525,36 +490,3 @@ class XrmDatabase:
         self._stat_generation_bumps = 0
         self.profile_s = 0.0
         self.profile_lookups = 0
-
-
-def _match(entry, ei, names, classes, qi):
-    """Recursive matcher; returns the per-level score list or None."""
-    n_entry = len(entry.components)
-    n_query = len(names)
-    if ei == n_entry:
-        return [] if qi == n_query else None
-    if qi == n_query:
-        return None
-    component = entry.components[ei]
-    binding = entry.bindings[ei]
-    results = []
-    # Try to match this component at this query level.
-    quality = None
-    if component == names[qi]:
-        quality = _NAME_TIGHT if binding == "." else _NAME_LOOSE
-    elif component == classes[qi]:
-        quality = _CLASS_TIGHT if binding == "." else _CLASS_LOOSE
-    elif component == "?":
-        quality = _ANY_TIGHT if binding == "." else _ANY_LOOSE
-    if quality is not None:
-        rest = _match(entry, ei + 1, names, classes, qi + 1)
-        if rest is not None:
-            results.append([quality] + rest)
-    # A loose binding may skip this query level entirely.
-    if binding == "*":
-        rest = _match(entry, ei, names, classes, qi + 1)
-        if rest is not None:
-            results.append([_SKIPPED] + rest)
-    if not results:
-        return None
-    return max(results, key=tuple)

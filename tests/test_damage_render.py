@@ -1,11 +1,11 @@
 """Tests for damage-region rendering, expose coalescing, clipped
 redraw, and the widget partial-repaint fast paths.
 
-The differential corpus at the bottom drives identical widget trees
-through identical operation scripts on the band-damage path, the
-naive-rect-list-damage path, and the eager-expose spec path
-(``use_regions=False``), asserting the screen framebuffers end up
-byte-identical at every checkpoint.
+The differential corpus at the bottom drives widget trees through
+operation scripts on the band-region damage path and on the same path
+with the rect-list region (tests/oracles/region.py) swapped in, and
+asserts that at every checkpoint the screen is byte-identical to a full
+repaint (tests/oracles/render.py).
 """
 
 import pytest
@@ -15,6 +15,8 @@ from repro.xlib import close_all_displays, open_display, xtypes
 from repro.xlib.graphics import window_pixels
 from repro.xt import ApplicationShell, XtAppContext
 from repro.xaw import BarGraph, Label, LineGraph, Scrollbar
+from tests.oracles.region import use_naive_regions
+from tests.oracles.render import full_repaint
 
 
 @pytest.fixture
@@ -108,12 +110,6 @@ class TestDamageAccumulation:
         display.damage_rect(window, 0, 0, 10, 10)
         assert drain_exposes(display) == []
 
-    def test_eager_spec_path_still_immediate(self, display):
-        display.use_regions = False
-        make_window(display)
-        # The eager path queues without needing a flush point.
-        assert any(e.type == xtypes.Expose for e in display.queue)
-
     def test_renderstats_counters_track(self, display):
         window = make_window(display)
         drain_exposes(display)
@@ -195,16 +191,6 @@ class TestConfigureAndRaiseDamage:
         drain_exposes(display)
         topmost.raise_window()
         assert drain_exposes(display) == []
-
-    def test_raise_generates_exposure_on_eager_spec_path(self, display):
-        # The satellite bug: restacking used to repaint nothing at all.
-        display.use_regions = False
-        below = make_window(display, x=0, y=0, w=100, h=100)
-        make_window(display, x=50, y=50, w=100, h=100)
-        drain_exposes(display)
-        below.raise_window()
-        events = drain_exposes(display)
-        assert events and events[0].window is below
 
     def test_raise_damage_propagates_to_children(self, display):
         below = make_window(display, x=0, y=0, w=100, h=100)
@@ -371,7 +357,6 @@ class TestInfoRenderstats:
             "label l topLevel label {hello world}\nrealize\nsync")
         out = wafe.run_script("info renderstats")
         pairs = dict(zip(out.split()[::2], out.split()[1::2]))
-        assert pairs["regions"] == "band"
         assert int(pairs["drawnPixels"]) > 0
         assert int(pairs["exposeEvents"]) > 0
         wafe.run_script("info renderstats reset")
@@ -379,17 +364,84 @@ class TestInfoRenderstats:
         pairs = dict(zip(out.split()[::2], out.split()[1::2]))
         assert pairs["drawnPixels"] == "0"
 
-    def test_renderstats_names_the_spec_backends(self):
+    def test_renderstats_fields(self):
         close_all_displays()
-        wafe = make_wafe(use_regions=False)
-        assert "regions eager" in wafe.run_script("info renderstats")
-        close_all_displays()
-        wafe = make_wafe(naive_regions=True)
-        assert "regions naive" in wafe.run_script("info renderstats")
+        wafe = make_wafe()
+        out = wafe.run_script("info renderstats").split()
+        assert out[::2] == [
+            "damageRects", "damagePixels", "damageFlushes",
+            "exposeSeries", "exposeEvents", "exposedPixels",
+            "drawCalls", "drawnPixels"]
+
+
+class TestUncoveredArea:
+    """A painted window that moves, shrinks, unmaps or dies uncovers
+    screen area, which must show what lies beneath it again."""
+
+    def setup(self, app, top):
+        from repro.xaw import Form
+
+        form = Form("f", top, args={"width": "200", "height": "120"})
+        a = Label("a", form, args={"label": "one"})
+        b = Label("b", form, args={"label": "two", "fromVert": a})
+        top.realize()
+        app.process_pending()
+        return b
+
+    def assert_repainted(self, app):
+        app.process_pending()
+        framebuffer = app.default_display.screen.framebuffer
+        assert (framebuffer == full_repaint(app)).all()
+
+    def test_destroy_uncovers(self, app, top):
+        b = self.setup(app, top)
+        box = b.window.absolute_box()
+        b.destroy()
+        self.assert_repainted(app)
+        x0, y0, x1, y1 = box
+        assert (app.default_display.screen.framebuffer[y0:y1, x0:x1]
+                == 0xFFFFFF).all()
+
+    def test_unmanage_uncovers(self, app, top):
+        b = self.setup(app, top)
+        b.parent.unmanage_child(b)
+        self.assert_repainted(app)
+
+    def test_move_uncovers(self, app, top):
+        b = self.setup(app, top)
+        b.set_values({"vertDistance": "12"})
+        self.assert_repainted(app)
+
+    @pytest.mark.parametrize("change", ["destroy", "unmanage", "move"])
+    def test_painted_before_any_flush_uncovers(self, app, top, change):
+        # A realized widget paints at once on redraw(), before any
+        # damage flush has seen its window.
+        b = self.setup(app, top)
+        form = b.parent
+        extra = Label("c", form, args={"label": "three", "fromVert": b})
+        extra.redraw()
+        if change == "destroy":
+            extra.destroy()
+        elif change == "unmanage":
+            form.unmanage_child(extra)
+        else:
+            extra.set_values({"vertDistance": "30"})
+        self.assert_repainted(app)
+
+    def test_window_never_painted_uncovers_nothing(self, app, top):
+        self.setup(app, top)
+        form = top.children[0]
+        extra = Label("c", form, args={"label": "three"})
+        display = app.default_display
+        display.reset_render_stats()
+        extra.destroy()
+        app.process_pending()
+        assert display.render_stats["draw_calls"] == 0
+        assert display.render_stats["damage_rects"] == 0
 
 
 # ----------------------------------------------------------------------
-# The differential corpus: damage paths vs eager spec, byte-identical.
+# The differential corpus: damage paths vs a full repaint, byte-identical.
 
 CORPUS = [
     # (setup script, mutation scripts run in order with a sync after each)
@@ -437,33 +489,77 @@ CORPUS = [
             "setValues a label {einszweidrei}",
         ],
     ),
+    (
+        "form f topLevel width 200 height 120\n"
+        "label a f label {one}\n"
+        "label b f label {two} fromVert a\n"
+        "label c f label {three} fromVert b\n"
+        "realize",
+        [
+            "unmanageChild b",
+            "manageChild b",
+            "destroyWidget b",
+            "setValues c label {drei}",
+        ],
+    ),
+    (
+        "label l topLevel label {hello} width 120 height 40\n"
+        "command c topLevel x 10 y 50 label {press}\n"
+        "realize",
+        [
+            "destroyWidget c",
+            "setValues l width 60",
+        ],
+    ),
+    (
+        # Widgets that paint between two flushes (setValues repaints a
+        # realized widget at once) and then go away in the same line.
+        "form f topLevel width 200 height 120\n"
+        "label a f label {one}\n"
+        "realize",
+        [
+            "label c f label {x} fromVert a; setValues c label {y}; "
+            "destroyWidget c",
+            "label d f label {x} fromVert a; setValues d label {yy}; "
+            "unmanageChild d",
+            "label e f label {x} fromVert a; setValues e label {y}; "
+            "setValues e vertDistance 30",
+        ],
+    ),
+    (
+        # A form paints nothing itself; moving, unmapping or destroying
+        # it must still uncover what its labels painted.
+        "form f topLevel width 220 height 160\n"
+        "label a f label {one}\n"
+        "form g f fromVert a\n"
+        "label b g label {two}\n"
+        "label c g label {three} fromVert b\n"
+        "realize",
+        [
+            "setValues g horizDistance 40",
+            "setValues g vertDistance 30",
+            "unmanageChild g",
+            "manageChild g",
+            "destroyWidget g",
+        ],
+    ),
 ]
 
 
 class TestDifferentialCorpus:
+    @pytest.mark.parametrize("regions", ["band", "naive"])
     @pytest.mark.parametrize("case", range(len(CORPUS)))
-    def test_damage_paths_byte_identical_to_eager_spec(self, case):
+    def test_damage_path_byte_identical_to_full_repaint(self, case,
+                                                        regions):
         setup, mutations = CORPUS[case]
-        frames = {}
-        for mode, kwargs in (
-            ("band", {}),
-            ("naive", {"naive_regions": True}),
-            ("eager", {"use_regions": False}),
-        ):
-            close_all_displays()
-            wafe = make_wafe(display_name=":diff-%s" % mode, **kwargs)
-            wafe.run_script(setup)
+        close_all_displays()
+        wafe = make_wafe(display_name=":diff-%s" % regions)
+        if regions == "naive":
+            use_naive_regions(wafe.app.default_display)
+        framebuffer = wafe.app.default_display.screen.framebuffer
+        for step, script in enumerate([setup] + mutations):
+            wafe.run_script(script)
             wafe.run_script("sync")
-            snapshots = [
-                wafe.app.default_display.screen.framebuffer.copy()]
-            for mutation in mutations:
-                wafe.run_script(mutation)
-                wafe.run_script("sync")
-                snapshots.append(
-                    wafe.app.default_display.screen.framebuffer.copy())
-            frames[mode] = snapshots
-        for step in range(len(frames["band"])):
-            assert (frames["band"][step] == frames["eager"][step]).all(), \
-                "band vs eager diverged at step %d" % step
-            assert (frames["naive"][step] == frames["eager"][step]).all(), \
-                "naive vs eager diverged at step %d" % step
+            assert (framebuffer == full_repaint(wafe.app)).all(), \
+                "%s damage path diverged from a full repaint at step " \
+                "%d (%s)" % (regions, step, script)

@@ -5,8 +5,8 @@ raise (quarantine after N strikes, loop stays live), handlers that
 stall (slow-handler watchdog), timers scheduled from inside timers,
 EINTR injected via a real signal during the wait, fd recycling behind
 the core's back, and the bounded shutdown drain.  Most run against
-both the selectors backend and the retained raw-``select`` executable
-spec (``EventCore(use_selectors=False)``).
+both the selectors backend and the raw-``select`` executable spec
+(``SelectEventCore`` from tests/oracles/eventcore.py).
 """
 
 import os
@@ -18,18 +18,20 @@ import time
 import pytest
 
 from repro.xlib import close_all_displays
+from repro.xt import app as xt_app
 from repro.xt.eventcore import EventCore
 from repro.core import make_wafe
 from repro.core.frontend import Frontend
 from repro.core.supervisor import BackendSupervisor, substitute_quarantine
+from tests.oracles.eventcore import SelectEventCore
 
-BACKENDS = [True, False]
+BACKENDS = [EventCore, SelectEventCore]
 BACKEND_IDS = ["selectors", "select-spec"]
 
 
 @pytest.fixture(params=BACKENDS, ids=BACKEND_IDS)
 def core(request):
-    return EventCore(use_selectors=request.param)
+    return request.param()
 
 
 def make_pipe():
@@ -499,9 +501,10 @@ class TestQuarantineSubstitution:
 
 
 @pytest.fixture(params=BACKENDS, ids=BACKEND_IDS)
-def wafe(request):
+def wafe(request, monkeypatch):
     close_all_displays()
-    return make_wafe(use_selectors=request.param)
+    monkeypatch.setattr(xt_app, "EventCore", request.param)
+    return make_wafe()
 
 
 def eventstats(wafe):
@@ -512,7 +515,8 @@ def eventstats(wafe):
 class TestWafeIntegration:
     def test_info_eventstats_shape(self, wafe):
         stats = eventstats(wafe)
-        expected_backend = ("select" if not wafe.app.core.use_selectors
+        expected_backend = ("select"
+                            if isinstance(wafe.app.core, SelectEventCore)
                             else "selectors:")
         assert stats["backend"].startswith(expected_backend)
         for key in ("activeInputs", "activeOutputs", "pendingTimers",

@@ -11,13 +11,12 @@ import numpy
 import pytest
 
 from repro.xlib.region import (
-    NaiveRegion,
     Region,
-    make_region,
     _ix_intersect,
     _ix_subtract,
     _ix_union,
 )
+from tests.oracles.region import NaiveRegion
 
 
 def rasterize(region, size=64):
@@ -144,10 +143,9 @@ class TestRegionBasics:
         a.intersect(Region((0, 5, 100, 100)))
         assert a.rects() == [(5, 5, 15, 10)]
 
-    def test_make_region_factory(self):
-        assert isinstance(make_region(), Region)
-        assert isinstance(make_region(naive=True), NaiveRegion)
-        assert make_region(rect=(0, 0, 2, 2)).area() == 4
+    def test_region_from_rect(self):
+        assert Region((0, 0, 2, 2)).area() == 4
+        assert NaiveRegion((0, 0, 2, 2)).rects() == [(0, 0, 2, 2)]
 
 
 class TestNaiveRegionSpec:

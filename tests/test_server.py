@@ -24,7 +24,6 @@ from repro.server.listener import ServerError
 
 def make_server(**kwargs):
     close_all_displays()
-    kwargs.setdefault("compile", True)
     return WafeServer(**kwargs)
 
 

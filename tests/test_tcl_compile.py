@@ -3,21 +3,17 @@
 The compiled fast paths must be semantically invisible: command names
 resolve at call time (so ``proc`` redefinition, ``rename`` and the
 ``unknown`` fallback behave identically for cached scripts), variable
-traces fire the same, errorInfo is built the same, and the
-``compile=False`` escape hatch gives byte-identical results for A/B
-comparison.
+traces fire the same, errorInfo is built the same, and the tree
+walker (``compile=False``, the reference semantics) gives
+byte-identical results.
 """
 
 import pytest
 
 from repro.tcl import Interp, LRUCache, TclError
 from repro.tcl import expr as tcl_expr
-from repro.tcl.compile import (
-    CompiledScript,
-    _DynamicCommand,
-    _LiteralCommand,
-    compile_script,
-)
+from repro.tcl.bytecode import Code
+from repro.tcl.compile import _DynamicCommand, _LiteralCommand, compile_command
 from repro.tcl.parser import ParseCache, parse_script
 
 
@@ -161,7 +157,6 @@ class TestEquivalence:
         interp = Interp(compile=False)
         interp.eval("set x 1")
         interp.eval("set x 1")
-        assert len(interp.compile_cache) == 0
         assert len(interp.bytecode_cache) == 0
 
     def test_escape_hatch_bypasses_expr_ast_cache(self):
@@ -227,15 +222,15 @@ class TestCacheStats:
         after = interp.cache_stats()["bytecode"]
         assert after["hits"] >= before["hits"] + 2
 
-    def test_plan_counters_move_on_repeat_eval(self):
-        interp = Interp(compile="plans")
+    def test_tree_walker_parse_counters_move_on_repeat_eval(self):
+        interp = Interp(compile=False)
         interp.eval("info cachestats reset")
         script = "set y 42"
         interp.eval(script)
-        before = interp.cache_stats()["compile"]
+        before = interp.cache_stats()["parse"]
         interp.eval(script)
         interp.eval(script)
-        after = interp.cache_stats()["compile"]
+        after = interp.cache_stats()["parse"]
         assert after["hits"] >= before["hits"] + 2
 
     def test_tcl_level_introspection(self):
@@ -245,8 +240,8 @@ class TestCacheStats:
         report = string_to_list(interp.eval("info cachestats"))
         assert len(report) % 2 == 0
         names = report[0::2]
-        assert {"parse", "compile", "bytecode", "expr"} <= set(names)
-        fields = string_to_list(report[names.index("compile") * 2 + 1])
+        assert {"parse", "bytecode", "expr"} == set(names)
+        fields = string_to_list(report[names.index("bytecode") * 2 + 1])
         assert "hits" in fields and "evictions" in fields
 
     def test_reset(self):
@@ -254,18 +249,20 @@ class TestCacheStats:
         interp.eval("set z 1")
         interp.eval("set z 1")
         interp.eval("info cachestats reset")
-        stats = interp.cache_stats()["compile"]
+        stats = interp.cache_stats()["parse"]
         assert stats["hits"] == 0 and stats["misses"] == 0
         stats = interp.cache_stats()["bytecode"]
         assert stats["hits"] == 0 and stats["misses"] == 0
 
     def test_expr_cache_hits(self):
-        # The VM engine lowers expr to its own bytecode; the process-wide
-        # AST cache is the caching layer of the plans engine.
-        interp = Interp(compile="plans")
+        # The VM lowers literal expr words to its own bytecode; an expr
+        # whose text is only known at run time goes through the
+        # process-wide AST cache.
+        interp = Interp()
+        interp.eval("set e {21 * 2}")
         tcl_expr.ast_cache.reset_stats()
-        interp.eval("expr {21 * 2}")
-        interp.eval("expr {21 * 2}")
+        interp.eval("expr $e")
+        interp.eval("expr $e")
         assert tcl_expr.ast_cache.hits >= 1
 
     def test_clear_caches(self):
@@ -341,12 +338,12 @@ class TestLRUCache:
 
 class TestCompiledForms:
     def test_literal_command_precomputes_argv(self):
-        [command] = compile_script(parse_script("set alpha beta")).commands
+        command = compile_command(parse_script("set alpha beta")[0])
         assert isinstance(command, _LiteralCommand)
         assert command.argv == ("set", "alpha", "beta")
 
     def test_mixed_command_gets_plan(self):
-        [command] = compile_script(parse_script("set alpha $beta")).commands
+        command = compile_command(parse_script("set alpha $beta")[0])
         assert isinstance(command, _DynamicCommand)
 
     def test_literal_argv_not_shared_between_calls(self):
@@ -364,7 +361,7 @@ class TestCompiledForms:
     def test_compiled_script_reexecutes(self):
         interp = Interp()
         interp.eval("set n 0")
-        compiled = compile_script(parse_script("incr n; incr n"))
-        assert isinstance(compiled, CompiledScript)
+        compiled = interp.compile_script("incr n; incr n")
+        assert isinstance(compiled, Code)
         assert compiled.execute(interp) == "2"
         assert compiled.execute(interp) == "4"

@@ -1,8 +1,8 @@
 """Differential fuzzing: the bytecode VM against the executable spec.
 
 The tree-walker (``Interp(compile=False)``) is the reference semantics;
-the plan engine (``compile="plans"``) and the bytecode VM
-(``compile=True``) must be observationally identical to it -- same
+the bytecode VM (``compile=True``, the production engine) must be
+observationally identical to it -- same
 results, same error messages, byte-identical ``errorInfo`` tracebacks,
 same ``errorCode``, the same work-unit accounting (``info cmdcount``,
 watchdog command-budget trips), and all of that on both the cold and
@@ -25,15 +25,11 @@ from repro.tcl.errors import TclError, TclLimitError
 from tests.test_tcl_compile import EQUIVALENCE_SCRIPTS
 
 #: Interp configurations under test; the tree-walker defines truth.
-#: The vm engine runs twice -- optimizer off and on -- so every script
-#: in every corpus also pins the optimizer's semantic invisibility.
 ENGINES = (
     {"compile": False},
-    {"compile": "plans"},
-    {"compile": True, "optimize": False},
     {"compile": True},
 )
-ENGINE_IDS = ("tree", "plans", "vm-noopt", "vm")
+ENGINE_IDS = ("tree", "vm")
 
 
 def snapshot(engine, script, rounds=2, commands=None, prelude=None):
@@ -42,8 +38,7 @@ def snapshot(engine, script, rounds=2, commands=None, prelude=None):
     Round 2 exercises the cached/compiled path, which is where inline
     caches (and their invalidation bugs) live.
     """
-    interp = Interp(**engine) if isinstance(engine, dict) \
-        else Interp(compile=engine)
+    interp = Interp(**engine)
     if prelude:
         interp.eval(prelude)
     if commands:
@@ -304,9 +299,8 @@ def _gen_stmt(rng, depth=0):
         ])
         return hazard
     if roll < 0.94:
-        # Optimizer bait: constant-set chains, foldable exprs, and
-        # constant conditions -- shapes OP_SETDEAD / OP_CONSTEXPR /
-        # W_FOLDED / precomputed-truth rewrite.
+        # Constant shapes: adjacent constant sets, constant exprs
+        # (folded at expr compile time), and constant conditions.
         bait = rng.choice([
             "set %s %d\nset %s %d\nset %s %d" % (
                 var, rng.randint(0, 9), var, rng.randint(0, 9),

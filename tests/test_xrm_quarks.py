@@ -1,7 +1,8 @@
 """Tests for the quark-interned Xrm machinery.
 
 Covers the quark intern table, the tree-backed search-list lookup and
-its equivalence to the retained naive matcher (differential test),
+its equivalence to the naive matcher in tests/oracles/xrm.py
+(differential test),
 resource-file escape decoding, specifier validation and its
 mergeResources advisory, generation invalidation, ``info xrmstats``,
 the event-type dispatch index, and the shell ``geometry`` resource.
@@ -22,6 +23,7 @@ from repro.xt.xrm import (
     quark_list,
     quark_name,
 )
+from tests.oracles.xrm import query_naive, use_naive_matcher
 
 
 @pytest.fixture
@@ -118,7 +120,7 @@ class TestPrecedenceCornerCases:
         for spec, value in entries:
             db.put(spec, value)
         via_tree = db.query(names.split(), classes.split())
-        via_naive = db.query_naive(names.split(), classes.split())
+        via_naive = query_naive(db, names.split(), classes.split())
         assert via_tree == via_naive
         return via_tree
 
@@ -160,7 +162,7 @@ class TestPrecedenceCornerCases:
         other.put("*label", "second")
         db.merge(other)
         assert db.query(["w", "label"], ["W", "Label"]) == "second"
-        assert db.query_naive(["w", "label"], ["W", "Label"]) == "second"
+        assert query_naive(db, ["w", "label"], ["W", "Label"]) == "second"
 
     def test_loose_skip_depth(self):
         # "*quit.label" must reach quit at any depth.
@@ -212,7 +214,7 @@ class TestDifferential:
             for __q in range(20):
                 names, classes = self.random_query(rng)
                 assert db.query(names, classes) == \
-                    db.query_naive(names, classes), \
+                    query_naive(db, names, classes), \
                     (names, classes,
                      [(e.bindings, e.components, e.value)
                       for e in db._entries])
@@ -226,7 +228,21 @@ class TestDifferential:
             for __ in range(10):
                 names, classes = self.random_query(rng)
                 assert db.query(names, classes) == \
-                    db.query_naive(names, classes)
+                    query_naive(db, names, classes)
+
+    def test_naive_matcher_routes_every_lookup(self, wafe):
+        # Widget creation and direct database queries both go through
+        # the oracle once an app is patched, and answer as before.
+        wafe.run_script("mergeResources *quit.label Bye *Label.width 77")
+        database = wafe.app.database
+        query = (["wafe", "quit", "label"], ["Wafe", "Command", "Label"])
+        expected = database.query(*query)
+        use_naive_matcher(wafe.app)
+        searches = database.stats()["searches"]
+        assert database.query(*query) == expected == "Bye"
+        wafe.run_script("label l topLevel")
+        assert wafe.run_script("gV l width") == "77"
+        assert database.stats()["searches"] == searches
 
 
 class TestSearchListCaching:
@@ -256,11 +272,10 @@ class TestSearchListCaching:
         assert db.search(slist, quark("background"), quark("Background")) \
             == "new"
 
-    def test_naive_escape_hatch(self):
+    def test_naive_oracle_bypasses_the_tree(self):
         db = XrmDatabase()
         db.put("*label", "x")
-        db.use_search_lists = False
-        assert db.query(["w", "label"], ["W", "Label"]) == "x"
+        assert query_naive(db, ["w", "label"], ["W", "Label"]) == "x"
         assert db.stats()["searches"] == 0  # tree path never ran
 
 
