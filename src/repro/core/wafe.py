@@ -151,6 +151,7 @@ class Wafe:
             "searchListMisses", str(stats["searchlist_misses"]),
             "searchListHitRate", "%.4f" % stats["searchlist_hit_rate"],
             "cachedSearchLists", str(stats["cached_search_lists"]),
+            "creationRecords", str(stats["creation_records"]),
             "searches", str(stats["searches"]),
         ])
 
@@ -193,6 +194,11 @@ class Wafe:
         from repro.tcl.lists import list_to_string
 
         if len(argv) == 3 and argv[2] == "reset":
+            # A server session's core is shared by every tenant: its
+            # counters are not this session's to zero.
+            if not self.app.owns_core:
+                raise TclError("info eventstats reset: the event core is "
+                               "shared with other sessions")
             self.app.core.reset_stats()
             return ""
         if len(argv) != 2:

@@ -11,6 +11,19 @@ from repro.tcl.errors import TclError
 from repro.xlib import colors as _colors
 from repro.xlib import fonts as _fonts
 from repro.xt import resources as R
+from repro.xt.translations import TranslationTable, parse_translation_table
+
+#: Converted values of exactly these types are immutable, so one
+#: conversion may be shared by every widget that resolves the same
+#: string (the ``XtCallConverter`` cache, see repro.xt.widget).
+#: Anything else a converter returns -- callback lists, pixmaps, objects
+#: a Wafe or Motif converter builds -- is converted afresh per widget.
+SHAREABLE_TYPES = frozenset((int, float, bool, str, type(None),
+                             _fonts.Font, TranslationTable))
+
+
+def shareable(value):
+    return type(value) in SHAREABLE_TYPES
 
 
 class ConversionError(TclError):
@@ -23,6 +36,10 @@ class ConverterRegistry:
     def __init__(self):
         self._to = {}
         self._back = {}
+        # Bumped by every registration: memoised conversions (widget
+        # creation records) key on it, so they never outlive the
+        # converter that made them.
+        self.generation = 0
         register_standard_converters(self)
 
     def register(self, type_name, func, reverse=None):
@@ -30,6 +47,7 @@ class ConverterRegistry:
         self._to[type_name] = func
         if reverse is not None:
             self._back[type_name] = reverse
+        self.generation += 1
 
     def has(self, type_name):
         return type_name in self._to
@@ -131,8 +149,6 @@ def _to_edit_mode(widget, value):
 
 
 def _to_translations(widget, value):
-    from repro.xt.translations import parse_translation_table
-
     return parse_translation_table(value)
 
 

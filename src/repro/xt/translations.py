@@ -148,13 +148,19 @@ _NO_PRODUCTIONS = ()
 
 
 class TranslationTable:
-    """An ordered list of productions plus the merge directive.
+    """An ordered tuple of productions plus the merge directive.
 
     Dispatch is indexed: productions are bucketed by the event type of
     their *first* spec (built lazily, since merge_tables constructs
     fresh tables constantly), so per-event lookup touches only the
     productions that could possibly start on this event instead of
     linearly scanning every binding in the table.
+
+    A table is never changed once built (merging makes a new one), and
+    per-widget sequence state lives in the caller's ``progress`` dict,
+    so one table may be shared by any number of widgets: every widget
+    of a class shares the parsed class defaults, and widgets created on
+    one resource path share a database-given table.
     """
 
     __slots__ = ("productions", "directive", "source", "_by_type")
@@ -243,7 +249,7 @@ def parse_translation_table(text):
                 continue
             raise TranslationError('unknown directive "%s"' % line)
         productions.append(_parse_production(line))
-    return TranslationTable(productions, directive, text)
+    return TranslationTable(tuple(productions), directive, text)
 
 
 def _parse_production(line):
@@ -400,9 +406,9 @@ def merge_tables(base, new):
     if base is None or new.directive == "replace":
         return new
     if new.directive == "override":
-        productions = list(new.productions) + list(base.productions)
+        productions = new.productions + base.productions
     else:  # augment
-        productions = list(base.productions) + list(new.productions)
+        productions = base.productions + new.productions
     merged = TranslationTable(productions, "replace",
                               base.source + "\n" + new.source)
     return merged

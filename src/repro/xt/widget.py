@@ -14,6 +14,7 @@ from repro.xlib import xtypes
 from repro.xlib import graphics as gfx
 from repro.xt import resources as R
 from repro.xt.callbacks import CallbackList
+from repro.xt.converters import shareable
 from repro.xt.resources import res
 from repro.xt.translations import merge_tables, parse_translation_table
 
@@ -107,13 +108,30 @@ class Widget:
 
     @classmethod
     def class_constraint_map(cls):
+        """The constraint resources this class imposes on its children
+        (shared: callers must not mutate it)."""
+        cached = cls.__dict__.get("_constraint_map_cache")
+        if cached is not None:
+            return cached
         mapping = {}
         for klass in reversed(cls.__mro__):
             own = klass.__dict__.get("CONSTRAINT_RESOURCES")
             if own:
                 for resource in own:
                     mapping[resource.name] = resource
+        cls._constraint_map_cache = mapping
         return mapping
+
+    @classmethod
+    def class_translations(cls):
+        """The parsed DEFAULT_TRANSLATIONS, once per class.  Tables are
+        immutable and sequence progress lives on each widget, so every
+        instance shares this one."""
+        if "_translations_cache" not in cls.__dict__:
+            source = cls.DEFAULT_TRANSLATIONS
+            cls._translations_cache = (parse_translation_table(source)
+                                       if source else None)
+        return cls._translations_cache
 
     # ------------------------------------------------------------------
     # Creation
@@ -164,49 +182,100 @@ class Widget:
                 % (unknown[0], self.CLASS_NAME)
             )
         converters = self.app.converters
-        # Two-phase Xrm lookup: the search list is computed once for
-        # this widget's name/class quark chains; every resource below
-        # is then a cheap walk over it (XrmQGetSearchResource).
-        database = self.app.database
-        search_list = self.app.resource_search_list(self)
-        for resource in self.class_resources():
-            if resource.name in args:
-                value = converters.convert(self, resource.type,
-                                           args[resource.name])
-            else:
-                from_db = database.search(search_list, resource.name_quark,
-                                          resource.class_quark)
-                if from_db is not None:
-                    value = converters.convert(self, resource.type, from_db)
-                else:
-                    value = self._default_for(resource, converters)
-            self.resources[resource.name] = value
-        for resource in constraint_map.values():
-            if resource.name in args:
-                value = converters.convert(self, resource.type,
-                                           args[resource.name])
-            else:
-                value = resource.default
-            self.constraints[resource.name] = value
+        resources, constraints = (
+            self._instantiate(values, fresh, args, converters)
+            for values, fresh in self._creation_record(constraint_map))
+        for name, raw in args.items():
+            if name in resource_map:
+                resources[name] = converters.convert(
+                    self, resource_map[name].type, raw)
+            if name in constraint_map:
+                constraints[name] = converters.convert(
+                    self, constraint_map[name].type, raw)
+        self.resources = resources
+        self.constraints = constraints
         # Wafe/Xt semantics: translations from resources merge onto the
         # class defaults rather than erasing them.
-        base = (parse_translation_table(self.DEFAULT_TRANSLATIONS)
-                if self.DEFAULT_TRANSLATIONS else None)
-        given = self.resources.get("translations")
+        base = self.class_translations()
+        given = resources.get("translations")
         if given is not None:
-            self.resources["translations"] = merge_tables(base, given)
+            resources["translations"] = merge_tables(base, given)
         else:
-            self.resources["translations"] = base
-        if self.resources.get("destroyCallback") is None:
-            self.resources["destroyCallback"] = CallbackList()
+            resources["translations"] = base
+        if resources.get("destroyCallback") is None:
+            resources["destroyCallback"] = CallbackList()
 
-    def _default_for(self, resource, converters):
-        default = resource.default
-        if isinstance(default, str) and converters.has(resource.type):
-            return converters.convert(self, resource.type, default)
-        if resource.type == R.R_CALLBACK and default is None:
-            return CallbackList()
-        return default
+    def _creation_record(self, constraint_map):
+        """This widget's compiled creation record, memoised per widget
+        class, parent class, application name/class and name/class
+        path (XtInitializeWidgetClass plus the XtCallConverter cache).
+
+        The memo lives on the database, so every generation bump
+        (``mergeResources``, ``-xrm``) drops it; a converter
+        registration changes the key.
+        """
+        app = self.app
+        names, classes = app.widget_path_quarks(self)
+        key = (type(self), type(self.parent), app.app_name, app.app_class,
+               names, classes, app.converters.generation)
+        memo = app.database.records
+        record = memo.get(key)
+        if record is None:
+            record = memo[key] = self._compile_record(constraint_map)
+        return record
+
+    def _compile_record(self, constraint_map):
+        """Resolve every class and constraint resource from the
+        database (Xt fetches a parent's constraint resources for the
+        child's path like ordinary ones) or from its default.
+
+        Returns ``((values, fresh), (constraint_values,
+        constraint_fresh))``.  ``values`` hold converted values that are
+        safe to share; ``fresh`` lists the ``(resource, raw)`` pairs
+        whose conversion failed or gives a mutable object -- those are
+        converted again for every widget, so each instance gets its own
+        callback lists and a bad value raises on every creation.
+        """
+        converters = self.app.converters
+        database = self.app.database
+        search_list = self.app.resource_search_list(self)
+        record = []
+        for resources in (self.class_resources(), constraint_map.values()):
+            values = {}
+            fresh = []
+            for resource in resources:
+                raw = database.search(search_list, resource.name_quark,
+                                      resource.class_quark)
+                try:
+                    value = self._resolve(resource, raw, converters)
+                except TclError:  # raised again for each widget
+                    value = None
+                    fresh.append((resource, raw))
+                else:
+                    if not shareable(value):
+                        value = None
+                        fresh.append((resource, raw))
+                values[resource.name] = value
+            record.append((values, tuple(fresh)))
+        return tuple(record)
+
+    def _instantiate(self, values, fresh, args, converters):
+        """One widget's copy of a record half: the shared values plus
+        its own conversions of the fresh ones (explicit args aside)."""
+        values = dict(values)
+        for resource, raw in fresh:
+            if resource.name not in args:
+                values[resource.name] = self._resolve(resource, raw,
+                                                      converters)
+        return values
+
+    def _resolve(self, resource, raw, converters):
+        """A database string, or else the class default, converted."""
+        if raw is None:
+            raw = resource.default
+            if raw is None and resource.type == R.R_CALLBACK:
+                return CallbackList()
+        return converters.convert(self, resource.type, raw)
 
     def initialize(self):
         """Class initialize hook (after resources are set)."""

@@ -206,6 +206,11 @@ class XrmDatabase:
         self._root = _Node()
         self._generation = 0
         self._search_cache = {}
+        # The widget layer's resolved-value memo: compiled creation
+        # records keyed by widget class and path (repro.xt.widget).  It
+        # lives here so that every generation bump drops it together
+        # with the search lists.
+        self.records = {}
         # ``info xrmstats`` counters.
         self._stat_hits = 0
         self._stat_misses = 0
@@ -260,6 +265,8 @@ class XrmDatabase:
         self._stat_generation_bumps += 1
         if self._search_cache:
             self._search_cache.clear()
+        if self.records:
+            self.records.clear()
 
     def put_lines(self, text):
         """Load resource-file syntax: one ``spec: value`` per line.
@@ -480,6 +487,7 @@ class XrmDatabase:
             "searchlist_misses": misses,
             "searchlist_hit_rate": (hits / total) if total else 0.0,
             "cached_search_lists": len(self._search_cache),
+            "creation_records": len(self.records),
             "searches": self._stat_searches,
         }
 

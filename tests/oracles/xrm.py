@@ -4,9 +4,10 @@ specification of :class:`repro.xt.xrm.XrmDatabase`.
 :func:`query_naive` scans every entry of a database and scores it with
 a recursive matcher.  The production quark tree
 (``get_search_list``/``search``) must give byte-identical answers;
-tests/test_xrm_quarks.py pins that on randomized databases, and
-benchmarks/bench_xrm.py times the two against each other through
-:func:`use_naive_matcher`.
+tests/test_xrm_quarks.py pins that on randomized databases,
+tests/test_resource_compile.py pins whole widget creations (with the
+creation-record memo) against it, and benchmarks/bench_xrm.py times
+the two against each other through :func:`use_naive_matcher`.
 """
 
 from repro.xt.xrm import (
@@ -41,13 +42,22 @@ def query_naive(database, names, classes):
     return best_value
 
 
+class _NoMemo(dict):
+    """A creation-record memo that keeps nothing."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 def use_naive_matcher(app):
     """Route every resource lookup of an ``XtAppContext`` (widget
     creation, ``query_resource``, ``XrmDatabase.query``) through
     :func:`query_naive`: the per-widget "search list" becomes the plain
-    name/class path, and each per-resource search a full scan of the
-    database."""
+    name/class path, each per-resource search a full scan of the
+    database, and the widget layer's creation-record memo keeps
+    nothing, so every creation resolves every resource afresh."""
     database = app.database
+    database.records = _NoMemo()
 
     def path_of(widget):
         return ([app.app_name] + widget.name_path()[1:],

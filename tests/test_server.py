@@ -446,6 +446,38 @@ class TestSupervisorLedger:
         assert b"detached" in out
 
 
+class TestEventStatsScope:
+    def ask(self, server, client, script, marker):
+        """Send one ``%echo marker<script result>`` line; the result."""
+        client.sendall(("%%echo %s%s\n" % (marker, script)).encode())
+        out = b""
+        for __ in range(100):
+            pump(server, 5)
+            out += drain(client)
+            if marker.encode() in out and out.endswith(b"\n"):
+                break
+        return out.decode().split(marker, 1)[1].split("\n", 1)[0]
+
+    def dispatches(self, server, client, marker):
+        fields = self.ask(server, client, "[info eventstats]", marker).split()
+        return int(dict(zip(fields[::2], fields[1::2]))["dispatches"])
+
+    def test_session_cannot_reset_shared_counters(self, server, tcp):
+        a = open_session(server, tcp)
+        b = open_session(server, tcp)
+        roundtrip(server, a, "warm-a")
+        roundtrip(server, b, "warm-b")
+        before = self.dispatches(server, b, "before=")
+        assert before > 0
+        reply = self.ask(server, a,
+                         "[catch {info eventstats reset} msg]:$msg", "reset=")
+        assert reply == ("1:info eventstats reset: the event core is "
+                         "shared with other sessions")
+        # The neighbour's view of the shared core was not zeroed.
+        assert self.dispatches(server, b, "after=") >= before
+        assert server.core.stats()["dispatches"] >= before
+
+
 class TestStdioSession:
     def test_stdio_degenerate_session(self, tmp_path):
         from repro.server.session import Session, StdioTransport

@@ -307,6 +307,19 @@ class TestGenerationInvalidation:
         wafe.app.app_name = "other"
         assert wafe.app.query_resource(top, "title", "Title") == "ForOther"
 
+    def test_constraint_resources_come_from_the_database(self, wafe):
+        # Xt fetches the parent's constraint resources for the child's
+        # path like ordinary ones.
+        wafe.run_script("mergeResources *b.vertDistance 30 *b.width 77")
+        wafe.run_script("form f topLevel; label a f; label b f fromVert a")
+        assert wafe.run_script("gV b vertDistance") == "30"
+        assert wafe.run_script("gV b width") == "77"
+        assert wafe.run_script("gV a vertDistance") == "4"
+        # An explicit constraint still beats the database.
+        wafe.run_script("label c f fromVert b vertDistance 2")
+        wafe.run_script("mergeResources *c.vertDistance 50")
+        assert wafe.run_script("gV c vertDistance") == "2"
+
     def test_merge_resources_advisory_for_bad_specifier(self, wafe):
         errors = []
         wafe.error_sink = errors.append
