@@ -201,8 +201,8 @@ def test_hundred_concurrent_sessions():
         "throughput_cps": round(throughput, 1),
         "rtt_p50_ms": round(p50_ms, 3),
         "rtt_p99_ms": round(p99_ms, 3),
-        "dispatch_p50_ms": stats["dispatchP50Ms"],
-        "dispatch_p99_ms": stats["dispatchP99Ms"],
+        "dispatch_p50_ms": stats["dispatch_p50_ms"],
+        "dispatch_p99_ms": stats["dispatch_p99_ms"],
         "hostile_time_trips": server.quota_trips["time"],
         "hostile_reaped": server.supervisor.ended.get("quota", 0),
         "leaked_watches": leaked,

@@ -192,27 +192,28 @@ def emit_reference(specs, source="spec"):
     lines.extend([
         "",
         "Runtime introspection (handwritten, listed for completeness):",
-        "`info cachestats ?reset?` reports the Tcl",
-        "parse/compile/bytecode/expr cache counters; `info bytecode`",
-        "reports the bytecode-VM engine, cache, and inline-cache",
-        "counters, and `info bytecode disassemble script` returns the",
-        "compiled listing for a script; `info xrmstats ?reset?` reports",
-        "the quark-interned Xrm resource machinery counters; `info",
-        "renderstats ?reset?` reports the damage-region rendering and",
-        "protocol-pipelining counters (damage rects, coalesced Expose",
-        "series, repainted pixels, pipe writes).  All are",
-        "documented in docs/PERFORMANCE.md.  `info evalstats ?reset?`",
-        "reports the fault-containment accounting (commands, peak",
-        "nesting, limit trips, firewall catches) and `info hidden",
-        "?pattern?` lists safe-mode-hidden commands; `evalLimit",
-        "?timeMs? ?commands?`, `recursionLimit ?limit?`, and `safeMode",
-        "?on?` configure the limits at runtime.  All are documented in",
+        "`info stats ?pattern? ?-reset?` returns every runtime counter",
+        "as a sorted `source.key value` list (`array set s [info",
+        "stats]` works), e.g. `tcl.bytecode.hits`,",
+        "`tcl.eval.firewall_catches`, `xt.xrm.searchlist_hits`,",
+        "`xt.event.polls`, `xlib.render.drawn_pixels` or",
+        "`core.channel.pipe_writes`;",
+        "`pattern` is a glob on the dotted key, and `-reset` zeroes the",
+        "matching sources unless one of them is shared (`tcl.expr`,",
+        "`server`, a server session's `xt.event`), in which case it",
+        "fails and resets nothing.  `info bytecode disassemble script`",
+        "returns the compiled listing for a script.  The counters are",
+        "documented in docs/PERFORMANCE.md.  `info hidden ?pattern?`",
+        "lists safe-mode-hidden commands; `evalLimit ?timeMs?",
+        "?commands?`, `recursionLimit ?limit?`, and `safeMode ?on?`",
+        "configure the limits at runtime.  All are documented in",
         "docs/ROBUSTNESS.md.  Under `wafe --serve` (the multi-session",
         "server) each connected client additionally has `sessionQuota",
-        "?name? ?value?` to inspect or tune its own resource budget and",
-        "`info serverstats` for the shared server ledger (sessions",
-        "accepted/active/refused/reaped, quota trips by kind, dispatch",
-        "latency percentiles); both are documented in docs/SERVER.md.",
+        "?name? ?value?` to inspect or tune its own resource budget,",
+        "and `info stats server.*` reads the shared server ledger",
+        "(sessions accepted/active/refused/reaped, quota trips by kind,",
+        "dispatch latency percentiles); both are documented in",
+        "docs/SERVER.md.",
         "",
     ])
     return "\n".join(lines)

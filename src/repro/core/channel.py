@@ -146,10 +146,10 @@ class OutboundChannel:
         self._overflowed = False
         self.dropped_bytes = 0
         self.closed = False
-        self.stats = self._zero_stats()
+        self.stats = self.zero_stats()
 
     @staticmethod
-    def _zero_stats():
+    def zero_stats():
         return {
             "sends": 0,          # send() calls (echo lines, replies)
             "pipe_writes": 0,    # successful write() syscalls
@@ -159,7 +159,7 @@ class OutboundChannel:
         }
 
     def reset_stats(self):
-        self.stats = self._zero_stats()
+        self.stats.update(self.zero_stats())
 
     # -- the transport contract (subclass responsibilities) ------------
 

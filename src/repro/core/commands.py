@@ -349,7 +349,7 @@ def cmd_handler_time_limit(wafe, argv):
 
     Every dispatched handler (input, output, timeout, work proc) is
     timed; one exceeding the budget is reported through the error
-    channel and counted in ``info eventstats`` (0 disables).  Unlike
+    channel and counted in ``info stats xt.event.*`` (0 disables).  Unlike
     ``evalLimit`` this does not abort the handler -- it makes the
     stall visible without changing semantics."""
     config = wafe.supervision

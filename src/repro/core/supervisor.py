@@ -384,7 +384,7 @@ class BackendSupervisor:
                self.restart_count, self.config.max_restarts, delay))
         # Scheduled on the unified event core's monotonic timer heap
         # (immune to wall-clock jumps); the label shows up in slow-
-        # handler reports and ``info eventstats`` accounting.
+        # handler reports and ``info stats xt.event.*`` accounting.
         self._restart_timer = self.wafe.app.core.add_timer(
             delay, self._attempt_restart, label="backend restart backoff")
 

@@ -13,12 +13,13 @@ application is attached.
 
 from repro import codegen
 from repro.tcl import Interp
-from repro.tcl.errors import TclError
+from repro.tcl.errors import TclError, report
 from repro.xt import ApplicationShell, XtAppContext
 from repro.xt.callbacks import CallbackList
 from repro.xt.translations import merge_tables, parse_translation_table
 from repro.xt import resources as R
 from repro.core import commands as _commands
+from repro.core.channel import OutboundChannel
 from repro.core.supervisor import SupervisionConfig as _SupervisionConfig
 from repro.core.percent import substitute_action, substitute_callback
 from repro.core.predefined import PREDEFINED_CALLBACKS
@@ -123,111 +124,28 @@ class Wafe:
         # The convenience alias pair the paper documents.
         self.interp.commands["sV"] = self.interp.commands["setValues"]
         self.interp.commands["gV"] = self.interp.commands["getValue"]
-        # ``info xrmstats`` rides the same plumbing as the built-in
-        # ``info cachestats``: counters for the quark-interned resource
-        # machinery (see docs/PERFORMANCE.md).  ``info eventstats``
-        # does the same for the unified event core.
-        self.interp.info_extensions["xrmstats"] = self._info_xrmstats
-        self.interp.info_extensions["eventstats"] = self._info_eventstats
-        # ``info renderstats``: damage-region rendering and protocol
-        # pipelining counters (see docs/PERFORMANCE.md).
-        self.interp.info_extensions["renderstats"] = self._info_renderstats
+        # The ``info stats`` sources of the toolkit and the protocol
+        # channel.  A shared event core (server mode) is not this
+        # instance's to reset.
+        app = self.app
+        display = app.default_display
+        self.interp.stats_sources.update({
+            "xt.xrm": (app.database.stats, app.database.reset_stats),
+            "xt.event": (app.core.stats,
+                         app.core.reset_stats if app.owns_core else None),
+            "xlib.render": (lambda: display.render_stats,
+                            display.reset_render_stats),
+            "core.channel": (self._channel_stats, self._reset_channel_stats),
+        })
 
-    def _info_xrmstats(self, interp, argv):
-        from repro.tcl.lists import list_to_string
+    def _channel_stats(self):
+        if self.frontend is None:
+            return OutboundChannel.zero_stats()
+        return self.frontend.stats
 
-        if len(argv) == 3 and argv[2] == "reset":
-            self.app.database.reset_stats()
-            return ""
-        if len(argv) != 2:
-            raise TclError('wrong # args: should be "info xrmstats ?reset?"')
-        stats = self.app.database.stats()
-        return list_to_string([
-            "quarks", str(stats["quarks"]),
-            "entries", str(stats["entries"]),
-            "generation", str(stats["generation"]),
-            "generationBumps", str(stats["generation_bumps"]),
-            "searchListHits", str(stats["searchlist_hits"]),
-            "searchListMisses", str(stats["searchlist_misses"]),
-            "searchListHitRate", "%.4f" % stats["searchlist_hit_rate"],
-            "cachedSearchLists", str(stats["cached_search_lists"]),
-            "creationRecords", str(stats["creation_records"]),
-            "searches", str(stats["searches"]),
-        ])
-
-    def _info_renderstats(self, interp, argv):
-        from repro.tcl.lists import list_to_string
-
-        display = self.app.default_display
-        if len(argv) == 3 and argv[2] == "reset":
-            display.reset_render_stats()
-            if self.frontend is not None:
-                self.frontend.reset_stats()
-            return ""
-        if len(argv) != 2:
-            raise TclError(
-                'wrong # args: should be "info renderstats ?reset?"')
-        stats = display.render_stats
-        pairs = [
-            "damageRects", str(stats["damage_rects"]),
-            "damagePixels", str(stats["damage_pixels"]),
-            "damageFlushes", str(stats["damage_flushes"]),
-            "exposeSeries", str(stats["expose_series"]),
-            "exposeEvents", str(stats["expose_events"]),
-            "exposedPixels", str(stats["exposed_pixels"]),
-            "drawCalls", str(stats["draw_calls"]),
-            "drawnPixels", str(stats["drawn_pixels"]),
-        ]
-        frontend = self.frontend
-        if frontend is not None:
-            fstats = frontend.stats
-            pairs += [
-                "sends", str(fstats["sends"]),
-                "pipeWrites", str(fstats["pipe_writes"]),
-                "bytesWritten", str(fstats["bytes_written"]),
-                "frameFlushes", str(fstats["frame_flushes"]),
-                "syncPoints", str(fstats["sync_points"]),
-            ]
-        return list_to_string(pairs)
-
-    def _info_eventstats(self, interp, argv):
-        from repro.tcl.lists import list_to_string
-
-        if len(argv) == 3 and argv[2] == "reset":
-            # A server session's core is shared by every tenant: its
-            # counters are not this session's to zero.
-            if not self.app.owns_core:
-                raise TclError("info eventstats reset: the event core is "
-                               "shared with other sessions")
-            self.app.core.reset_stats()
-            return ""
-        if len(argv) != 2:
-            raise TclError(
-                'wrong # args: should be "info eventstats ?reset?"')
-        stats = self.app.core.stats()
-        return list_to_string([
-            "backend", stats["backend"],
-            "activeInputs", str(stats["active_inputs"]),
-            "activeOutputs", str(stats["active_outputs"]),
-            "pendingTimers", str(stats["pending_timers"]),
-            "workProcs", str(stats["work_procs"]),
-            "registered", str(stats["registered"]),
-            "unregistered", str(stats["unregistered"]),
-            "dispatches", str(stats["dispatches"]),
-            "timersScheduled", str(stats["timers_scheduled"]),
-            "timersFired", str(stats["timers_fired"]),
-            "timersCancelled", str(stats["timers_cancelled"]),
-            "polls", str(stats["polls"]),
-            "handlerErrors", str(stats["handler_errors"]),
-            "quarantined", str(stats["quarantined"]),
-            "slowDispatches", str(stats["slow_dispatches"]),
-            "staleSkips", str(stats["stale_skips"]),
-            "deadFdDrops", str(stats["dead_fd_drops"]),
-            "leakedWatches", str(stats["leaked_watches"]),
-            "eintrRetries", str(stats["eintr_retries"]),
-            "handlerTimeLimitMs", str(stats["handler_time_limit_ms"]),
-            "quarantineStrikes", str(stats["quarantine_strikes"]),
-        ])
+    def _reset_channel_stats(self):
+        if self.frontend is not None:
+            self.frontend.reset_stats()
 
     def _handler_quarantined(self, kind, fd, label, strikes, exc):
         """The ``onHandlerQuarantine`` hook: the configured script runs
@@ -354,12 +272,7 @@ class Wafe:
             return None
 
     def report_error(self, message):
-        if self.error_sink is not None:
-            self.error_sink(message)
-        else:
-            import sys
-
-            sys.stderr.write("wafe: %s\n" % message)
+        report(self.error_sink, "wafe", message)
 
     def report_tcl_error(self, err):
         """Report a TclError with its structured multi-line traceback.
@@ -509,7 +422,7 @@ class Wafe:
             self.frontend.close()
         # Graceful shutdown of the event core: a bounded drain of any
         # pending writer watches, then every remaining source is
-        # unregistered with leak accounting (``info eventstats``).
+        # unregistered with leak accounting (``info stats xt.event.*``).
         self.app.shutdown()
 
     def realize(self, widget=None):

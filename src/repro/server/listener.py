@@ -3,7 +3,7 @@
 One :class:`WafeServer` owns the shared event core and everything
 global: the Unix/TCP listening sockets, the session table, the
 :class:`~repro.server.supervisor.SessionSupervisor` ledger, the idle
-reaper, the dispatch-latency histogram behind ``info serverstats``,
+reaper, the dispatch-latency histogram behind ``info stats server.*``,
 and the SIGTERM drain.  Degradation under load is explicit policy:
 
 * the accept backlog is bounded (``serverBacklog``);
@@ -26,10 +26,9 @@ import os
 import signal
 import socket
 import stat
-import sys
 import time as _time
 
-from repro.tcl.errors import log_panic
+from repro.tcl.errors import log_panic, report
 from repro.xt.eventcore import EventCore
 from repro.server.quotas import ServerConfig, SessionQuotas
 from repro.server.session import Session, SocketTransport, StdioTransport
@@ -82,13 +81,7 @@ class WafeServer:
     # Logging / core hooks
 
     def log(self, message):
-        if self._log_sink is not None:
-            try:
-                self._log_sink(message)
-                return
-            except Exception:  # noqa: BLE001 -- reporter of last resort
-                pass
-        sys.stderr.write("wafe-server: %s\n" % message)
+        report(self._log_sink, "wafe-server", message)
 
     def _core_error(self, context, exc):
         # The shared loop's last-resort firewall: a fault that escaped
@@ -282,24 +275,24 @@ class WafeServer:
         return (p50 * 1000.0, p99 * 1000.0)
 
     def serverstats(self):
-        """The ledger behind ``info serverstats``."""
+        """The ledger behind the ``server`` source of ``info stats``."""
         p50, p99 = self.latency_percentiles()
         out = {
-            "sessionsAccepted": self.counters["accepted"],
-            "sessionsActive": len(self.sessions),
-            "sessionsRefused": self.counters["refused"],
-            "sessionsReaped": self.supervisor.reaped,
-            "acceptErrors": self.counters["accept_errors"],
-            "coreErrors": self.counters["core_errors"],
-            "leakedWatches": self.leaked_watches,
-            "dispatchP50Ms": p50,
-            "dispatchP99Ms": p99,
-            "latencySamples": len(self._latencies),
+            "sessions_accepted": self.counters["accepted"],
+            "sessions_active": len(self.sessions),
+            "sessions_refused": self.counters["refused"],
+            "sessions_reaped": self.supervisor.reaped,
+            "accept_errors": self.counters["accept_errors"],
+            "core_errors": self.counters["core_errors"],
+            "leaked_watches": self.leaked_watches,
+            "dispatch_p50_ms": p50,
+            "dispatch_p99_ms": p99,
+            "latency_samples": len(self._latencies),
         }
-        for kind, count in sorted(self.supervisor.ended.items()):
-            out["ended%s" % kind.capitalize()] = count
-        for kind, count in sorted(self.quota_trips.items()):
-            out["trips%s" % kind.capitalize()] = count
+        for kind, count in self.supervisor.ended.items():
+            out["ended_" + kind] = count
+        for kind, count in self.quota_trips.items():
+            out["trips_" + kind] = count
         return out
 
     # ------------------------------------------------------------------

@@ -132,8 +132,9 @@ class Session(OutboundChannel):
         self.quotas.on_trip = self._quota_tripped
         self.quotas.on_change = self.apply_quotas
         self.wafe.interp.on_limit_trip = self._interp_limit_tripped
-        self.wafe.interp.info_extensions["serverstats"] = \
-            self._info_serverstats
+        # The shared server ledger: readable by every session, reset
+        # by none.
+        self.wafe.interp.stats_sources["server"] = (server.serverstats, None)
         self.apply_quotas()
         self._input_id = self.wafe.app.add_input(
             transport.read_obj(), self._on_readable,
@@ -278,23 +279,6 @@ class Session(OutboundChannel):
     def set_communication_variable(self, var_name, limit, script):
         raise TclError("setCommunicationVariable: no mass transfer "
                        "channel in a server session")
-
-    # ------------------------------------------------------------------
-    # Introspection
-
-    def _info_serverstats(self, interp, argv):
-        from repro.tcl.lists import list_to_string
-
-        if len(argv) != 2:
-            raise TclError('wrong # args: should be "info serverstats"')
-        stats = self.server.serverstats()
-        pairs = []
-        for key in sorted(stats):
-            value = stats[key]
-            if isinstance(value, float):
-                value = "%.3f" % value
-            pairs += [key, str(value)]
-        return list_to_string(pairs)
 
     def _log_advisory(self, message):
         self.server.log("session %d: %s" % (self.sid, message))

@@ -8,7 +8,7 @@ which thrashes steady-state workloads touching more than ``maxsize``
 distinct scripts; true LRU (move-to-end on hit, evict oldest on
 insert) keeps the working set resident.
 
-Each cache counts hits, misses and evictions; ``info cachestats``
+Each cache counts hits, misses and evictions; ``info stats tcl.*``
 surfaces the counters and the benchmark harness records hit rates in
 ``BENCH_tcl_compile.json``.
 """

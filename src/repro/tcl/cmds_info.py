@@ -1,5 +1,7 @@
 """Introspection commands: ``info`` and ``array``."""
 
+from repro.tcl.bytecode import disassemble
+from repro.tcl.compile import compile_script_bytecode
 from repro.tcl.errors import TclError
 from repro.tcl.lists import list_to_string, string_to_list
 from repro.tcl.cmds_string import glob_match
@@ -85,51 +87,14 @@ def cmd_info(interp, argv):
         return list_to_string(frame.argv)
     if option == "cmdcount":
         return str(interp.cmd_count)
-    if option == "cachestats":
-        # ``info cachestats ?reset?``: hit/miss/eviction counters for
-        # the parse, bytecode, and expr caches (the compilation layer's
-        # introspection hook; the bench harness reads the same numbers
-        # through interp.cache_stats()).
-        if len(argv) == 3 and argv[2] == "reset":
-            interp.reset_cache_stats()
-            return ""
-        if len(argv) != 2:
-            _wrong_args("info cachestats ?reset?")
-        rows = []
-        for cache_name, stats in sorted(interp.cache_stats().items()):
-            rows.append(cache_name)
-            rows.append(list_to_string([
-                "hits", str(stats["hits"]),
-                "misses", str(stats["misses"]),
-                "evictions", str(stats["evictions"]),
-                "size", str(stats["size"]),
-                "maxsize", str(stats["maxsize"]),
-                "hitrate", "%.4f" % stats["hit_rate"],
-            ]))
-        return list_to_string(rows)
-    if option == "evalstats":
-        # ``info evalstats ?reset?``: the fault-containment counters --
-        # configured limits, watchdog/recursion trips, peak nesting,
-        # and Python-exception firewall catches (docs/ROBUSTNESS.md).
-        if len(argv) == 3 and argv[2] == "reset":
-            interp.reset_eval_stats()
-            return ""
-        if len(argv) != 2:
-            _wrong_args("info evalstats ?reset?")
-        stats = interp.eval_stats()
-        trips = stats["limit_trips"]
-        return list_to_string([
-            "commands", str(stats["cmd_count"]),
-            "recursionLimit", str(stats["recursion_limit"]),
-            "peakNesting", str(stats["peak_nesting"]),
-            "timeLimitMs", str(stats["time_limit_ms"]),
-            "commandLimit", str(stats["command_limit"]),
-            "commandTrips", str(trips["commands"]),
-            "timeTrips", str(trips["time"]),
-            "recursionTrips", str(trips["recursion"]),
-            "firewallCatches", str(stats["firewall_catches"]),
-            "hiddenCommands", str(stats["hidden_commands"]),
-        ])
+    if option == "stats":
+        return _info_stats(interp, argv)
+    if option == "bytecode":
+        if len(argv) != 4 or argv[2] != "disassemble":
+            _wrong_args("info bytecode disassemble script")
+        parsed = interp.parse_cache.get(argv[3])
+        return disassemble(
+            compile_script_bytecode(parsed, argv[3], interp))
     if option == "hidden":
         # Safe-Tcl introspection: the commands hidden from this
         # interpreter (``interp hidden`` in real Tcl).
@@ -145,21 +110,52 @@ def cmd_info(interp, argv):
         return ""
     if option == "script":
         return getattr(interp, "script_name", "")
-    # Embedder extensions (Wafe registers ``info xrmstats`` here, the
-    # Xrm counterpart of ``info cachestats``).
-    extensions = getattr(interp, "info_extensions", {})
-    extension = extensions.get(option)
-    if extension is not None:
-        return extension(interp, argv)
-    options = sorted([
-        "args", "body", "cachestats", "cmdcount", "commands", "default",
-        "evalstats", "exists", "globals", "hidden", "level", "library",
-        "locals", "patchlevel", "procs", "script", "tclversion", "vars",
-    ] + list(extensions))
+    options = [
+        "args", "body", "bytecode", "cmdcount", "commands", "default",
+        "exists", "globals", "hidden", "level", "library", "locals",
+        "patchlevel", "procs", "script", "stats", "tclversion", "vars",
+    ]
     raise TclError(
         'bad option "%s": should be %s, or %s'
         % (option, ", ".join(options[:-1]), options[-1])
     )
+
+
+def _info_stats(interp, argv):
+    """``info stats ?pattern? ?-reset?`` over ``interp.stats_sources``.
+
+    Returns a sorted ``source.key value`` list (floats as ``%.4f``) of
+    the keys matching the glob ``pattern``.  ``-reset`` instead zeroes
+    every source with a matching key; if any of them is shared
+    (``reset`` is None) it fails and resets nothing.
+    """
+    args = argv[2:]
+    reset = bool(args) and args[-1] == "-reset"
+    if reset:
+        args = args[:-1]
+    if len(args) > 1:
+        _wrong_args("info stats ?pattern? ?-reset?")
+    pattern = args[0] if args else "*"
+    pairs = []
+    resets = {}
+    for source, (snapshot, reset_source) in interp.stats_sources.items():
+        for key, value in snapshot().items():
+            key = "%s.%s" % (source, key)
+            if glob_match(pattern, key):
+                pairs.append((key, value))
+                resets[source] = reset_source
+    if not reset:
+        return list_to_string([
+            item for key, value in sorted(pairs) for item in
+            (key, "%.4f" % value if isinstance(value, float) else str(value))
+        ])
+    shared = sorted(source for source, fn in resets.items() if fn is None)
+    if shared:
+        raise TclError('info stats: cannot reset "%s": it is shared beyond '
+                       'this interpreter' % shared[0])
+    for reset_source in resets.values():
+        reset_source()
+    return ""
 
 
 def cmd_array(interp, argv):

@@ -11,7 +11,9 @@ docs/ROBUSTNESS.md) is that an unexpected Python exception inside a
 command or callback surfaces to scripts as a TclError carrying a
 one-line summary, while the full traceback is written here -- to
 stderr, or to a file when one is configured -- and never onto the
-frontend/backend protocol.
+frontend/backend protocol.  Its sibling :func:`report` is the one
+delivery path for advisory messages (quarantines, slow handlers, fd
+leaks, session reaps).
 """
 
 import sys
@@ -159,3 +161,22 @@ def log_panic(context, exc=None):
         except OSError:
             pass
     return summary
+
+
+def report(sink, prefix, message):
+    """Deliver one advisory ``message`` through ``sink(message)``.
+
+    Without a sink, or when the sink itself raises, the message goes to
+    stderr as ``prefix: message``.  Like :func:`log_panic`, reporting
+    never raises.
+    """
+    if sink is not None:
+        try:
+            sink(message)
+            return
+        except Exception:  # noqa: BLE001 -- reporter of last resort
+            pass
+    try:
+        sys.stderr.write("%s: %s\n" % (prefix, message))
+    except (OSError, ValueError):
+        pass

@@ -12,7 +12,6 @@ import time as _time
 
 from repro.tcl import compile as _compile
 from repro.tcl import parser as _parser
-from repro.tcl import vm as _vm
 from repro.tcl.cache import LRUCache
 from repro.tcl.errors import (
     ERRORINFO_FRAME_LIMIT,
@@ -209,7 +208,7 @@ class Interp:
         # hangs off this.  Hook failures are contained -- a broken
         # observer must not mask the limit error itself.
         self.on_limit_trip = None
-        # The Python-exception firewall counter (``info evalstats``).
+        # The Python-exception firewall counter (``info stats tcl.eval``).
         self.firewall_catches = 0
         # Safe mode (Safe Tcl): hidden commands are parked here, out of
         # reach of scripts but restorable via :meth:`expose_command`.
@@ -217,9 +216,21 @@ class Interp:
         # Output hook: ``puts``/``echo`` write through here so embedders
         # (the Wafe frontend) can redirect output to the backend pipe.
         self.write_output = None
-        # Extra ``info`` subcommands registered by embedders (Wafe adds
-        # ``info xrmstats`` next to the built-in ``info cachestats``).
-        self.info_extensions = {"bytecode": _vm.cmd_info_bytecode}
+        # The counter ledgers behind ``info stats``: source name ->
+        # (snapshot, reset).  ``snapshot()`` returns a flat dict;
+        # ``reset()`` zeroes the counters in place and is None for a
+        # source shared beyond this interpreter, which Tcl may read but
+        # not reset.  Embedders add their own sources (Wafe: ``xt.*``,
+        # ``xlib.render``, ``core.channel``; a server session: ``server``).
+        self.stats_sources = {
+            "tcl.parse": (self.parse_cache.stats,
+                          self.parse_cache.reset_stats),
+            "tcl.bytecode": (self.bytecode_cache.stats,
+                             self.bytecode_cache.reset_stats),
+            "tcl.expr": (_expr_ast_cache.stats, None),  # process-wide
+            "tcl.eval": (self.eval_stats, self.reset_eval_stats),
+            "tcl.vm": (self.vm_stats, self.reset_vm_stats),
+        }
         if register_builtins:
             from repro.tcl import cmds_core, cmds_info, cmds_list, cmds_string
 
@@ -961,7 +972,7 @@ class Interp:
         return truth
 
     # ------------------------------------------------------------------
-    # Cache introspection (``info cachestats``)
+    # Counter snapshots (the ``tcl.*`` sources of ``info stats``)
 
     def cache_stats(self):
         """Hit/miss/eviction counters for every evaluation cache.
@@ -987,32 +998,40 @@ class Interp:
         self.bytecode_cache.clear()
         _expr_ast_cache.clear()
 
-    # ------------------------------------------------------------------
-    # Fault-containment introspection (``info evalstats``)
-
     def eval_stats(self):
         """Counters for the fault-containment layer.
 
-        ``limit_trips`` counts watchdog/recursion-limit activations;
+        ``trips_*`` count watchdog/recursion-limit activations by kind;
         ``firewall_catches`` counts Python exceptions converted to Tcl
         errors; ``peak_nesting`` is the deepest evaluation nesting seen
         since the last reset.
         """
-        return {
+        stats = {
             "cmd_count": self.cmd_count,
             "recursion_limit": self.recursion_limit,
             "peak_nesting": self._peak_nesting,
             "time_limit_ms": self.limit_time_ms,
             "command_limit": self.limit_commands,
-            "limit_trips": dict(self._limit_trips),
             "firewall_catches": self.firewall_catches,
             "hidden_commands": len(self.hidden_commands),
         }
+        for kind, count in self._limit_trips.items():
+            stats["trips_" + kind] = count
+        return stats
 
     def reset_eval_stats(self):
         self._peak_nesting = 0
         self.firewall_catches = 0
-        self._limit_trips = {"commands": 0, "time": 0, "recursion": 0}
+        self._limit_trips.update(dict.fromkeys(self._limit_trips, 0))
+
+    def vm_stats(self):
+        """The engine in use plus the bytecode compiler's op counters."""
+        stats = {"engine": "vm" if self.compile_enabled else "tree"}
+        stats.update(self._vm_stats)
+        return stats
+
+    def reset_vm_stats(self):
+        self._vm_stats.update(dict.fromkeys(self._vm_stats, 0))
 
     # ------------------------------------------------------------------
     # Procedures

@@ -76,7 +76,6 @@ from repro.tcl.bytecode import (
     W_CONST,
     W_VAR,
     W_VARIDX,
-    disassemble,
 )
 from repro.tcl.errors import (
     TclBreak,
@@ -93,7 +92,7 @@ from repro.tcl.expr import (
     is_true,
     unary_op,
 )
-from repro.tcl.lists import list_to_string, string_to_list
+from repro.tcl.lists import string_to_list
 
 
 # ----------------------------------------------------------------------
@@ -971,39 +970,3 @@ def _for_fused(interp, op, nesting1, rlimit):
         var.value = text
         var.num = new
         var.num_str = text
-
-
-# ----------------------------------------------------------------------
-# ``info bytecode``
-
-def cmd_info_bytecode(interp, argv):
-    """The ``info bytecode`` extension (registered via info_extensions).
-
-    ``info bytecode`` reports the bytecode LRU plus VM counters;
-    ``info bytecode disassemble <script>`` compiles the script (without
-    touching the cache) and returns a listing.
-    """
-    if len(argv) == 4 and argv[2] == "disassemble":
-        from repro.tcl import compile as _compile
-
-        parsed = interp.parse_cache.get(argv[3])
-        code = _compile.compile_script_bytecode(parsed, argv[3], interp)
-        return disassemble(code)
-    if len(argv) != 2:
-        raise TclError(
-            'wrong # args: should be "info bytecode ?disassemble script?"')
-    stats = interp.bytecode_cache.stats()
-    vm_stats = interp._vm_stats
-    return list_to_string([
-        "engine", "vm" if interp.compile_enabled else "tree",
-        "hits", str(stats["hits"]),
-        "misses", str(stats["misses"]),
-        "evictions", str(stats["evictions"]),
-        "size", str(stats["size"]),
-        "maxsize", str(stats["maxsize"]),
-        "hitrate", "%.4f" % stats["hit_rate"],
-        "scripts", str(vm_stats["scripts"]),
-        "inlineOps", str(vm_stats["inline_ops"]),
-        "genericOps", str(vm_stats["generic_ops"]),
-        "deopts", str(vm_stats["deopts"]),
-    ])

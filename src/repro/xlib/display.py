@@ -336,7 +336,7 @@ class Display:
         }
 
     def reset_render_stats(self):
-        self.render_stats = self._zero_render_stats()
+        self.render_stats.update(self._zero_render_stats())
 
     def record_draw(self, box):
         """Called by graphics primitives with the clipped absolute box."""

@@ -15,10 +15,9 @@ the Xt-flavoured API (``add_input``/``add_timeout``/``main_loop``) on
 top of it.
 """
 
-import sys
 import time as _time
 
-from repro.tcl.errors import TclError, log_panic
+from repro.tcl.errors import TclError, log_panic, report
 from repro.xlib import xtypes
 from repro.xlib.display import open_display
 from repro.xt.converters import ConverterRegistry
@@ -290,14 +289,7 @@ class XtAppContext:
     def report_message(self, message):
         """Advisory reporting (quarantines, slow handlers, fd leaks):
         through the embedder's hook, or stderr standalone."""
-        hook = self.message_hook
-        if hook is not None:
-            try:
-                hook(message)
-                return
-            except Exception:  # noqa: BLE001 -- reporter of last resort
-                pass
-        sys.stderr.write("wafe: %s\n" % message)
+        report(self.message_hook, "wafe", message)
 
     def pending(self):
         """XtAppPending-ish: X events queued right now."""

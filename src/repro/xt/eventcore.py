@@ -48,7 +48,7 @@ Robustness-first design points (docs/ROBUSTNESS.md, "The event core"):
   streak, so a consistently slow handler does not flood the log.
 
 * **Accounting.**  Register/unregister/dispatch/error counters are
-  kept for every source kind and surfaced as ``info eventstats``.
+  kept for every source kind and surfaced as ``info stats xt.event.*``.
 
 The previous raw-``select`` loop is the executable specification of
 the readiness primitives (:meth:`EventCore._select_ready`,
@@ -64,8 +64,9 @@ import heapq
 import os
 import select
 import selectors
-import sys
 import time as _time
+
+from repro.tcl.errors import report
 
 _READ = 1
 _WRITE = 2
@@ -152,7 +153,7 @@ class EventCore:
         return sum(1 for w in self._watches.values() if w.mask == mask)
 
     def stats(self):
-        """Counters + live state, for ``info eventstats``."""
+        """Counters + live state: the ``xt.event`` source of ``info stats``."""
         out = dict(self._counters)
         out["backend"] = self.backend_name()
         out["active_inputs"] = self.active_watches(_READ)
@@ -164,19 +165,13 @@ class EventCore:
         return out
 
     def reset_stats(self):
-        self._counters = dict.fromkeys(_COUNTERS, 0)
+        self._counters.update(dict.fromkeys(_COUNTERS, 0))
 
     # ------------------------------------------------------------------
     # Reporting
 
     def _report(self, message):
-        if self.report is not None:
-            try:
-                self.report(message)
-                return
-            except Exception:  # noqa: BLE001 -- reporter of last resort
-                pass
-        sys.stderr.write("eventcore: %s\n" % message)
+        report(self.report, "eventcore", message)
 
     def _contain(self, context, exc):
         if self.error_handler is not None:

@@ -211,7 +211,7 @@ class XrmDatabase:
         # lives here so that every generation bump drops it together
         # with the search lists.
         self.records = {}
-        # ``info xrmstats`` counters.
+        # Counters of the ``xt.xrm`` source of ``info stats``.
         self._stat_hits = 0
         self._stat_misses = 0
         self._stat_searches = 0
@@ -473,7 +473,7 @@ class XrmDatabase:
         return self.search(slist, quark(names[-1]), quark(classes[-1]))
 
     # ------------------------------------------------------------------
-    # Introspection (``info xrmstats``)
+    # Introspection (the ``xt.xrm`` source of ``info stats``)
 
     def stats(self):
         hits, misses = self._stat_hits, self._stat_misses

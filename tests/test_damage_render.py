@@ -349,29 +349,30 @@ class TestWidgetClippedRedraw:
         assert (window_pixels(graph.window) == partial).all()
 
 
-class TestInfoRenderstats:
-    def test_renderstats_reports_and_resets(self):
+class TestInfoStatsRender:
+    def test_render_stats_report_and_reset(self):
         close_all_displays()
         wafe = make_wafe()
         wafe.run_script(
             "label l topLevel label {hello world}\nrealize\nsync")
-        out = wafe.run_script("info renderstats")
+        out = wafe.run_script("info stats xlib.render.*")
         pairs = dict(zip(out.split()[::2], out.split()[1::2]))
-        assert int(pairs["drawnPixels"]) > 0
-        assert int(pairs["exposeEvents"]) > 0
-        wafe.run_script("info renderstats reset")
-        out = wafe.run_script("info renderstats")
+        assert int(pairs["xlib.render.drawn_pixels"]) > 0
+        assert int(pairs["xlib.render.expose_events"]) > 0
+        wafe.run_script("info stats xlib.render.* -reset")
+        out = wafe.run_script("info stats xlib.render.*")
         pairs = dict(zip(out.split()[::2], out.split()[1::2]))
-        assert pairs["drawnPixels"] == "0"
+        assert pairs["xlib.render.drawn_pixels"] == "0"
 
-    def test_renderstats_fields(self):
+    def test_render_stats_fields(self):
         close_all_displays()
         wafe = make_wafe()
-        out = wafe.run_script("info renderstats").split()
-        assert out[::2] == [
-            "damageRects", "damagePixels", "damageFlushes",
-            "exposeSeries", "exposeEvents", "exposedPixels",
-            "drawCalls", "drawnPixels"]
+        out = wafe.run_script("info stats xlib.render.*").split()
+        assert out[::2] == sorted(
+            "xlib.render." + key for key in (
+                "damage_rects", "damage_pixels", "damage_flushes",
+                "expose_series", "expose_events", "exposed_pixels",
+                "draw_calls", "drawn_pixels"))
 
 
 class TestUncoveredArea:

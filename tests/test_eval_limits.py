@@ -110,7 +110,7 @@ class TestWatchdog:
             with pytest.raises(TclLimitError):
                 tcl.eval("while 1 {}")
         stats = tcl.eval_stats()
-        assert stats["limit_trips"]["commands"] == 3
+        assert stats["trips_commands"] == 3
 
     def test_limit_validation(self, tcl):
         with pytest.raises(TclError):
@@ -163,7 +163,7 @@ class TestRecursion:
         tcl.eval("proc f {} { f }")
         with pytest.raises(TclError):
             tcl.eval("f")
-        assert tcl.eval_stats()["limit_trips"]["recursion"] == 1
+        assert tcl.eval_stats()["trips_recursion"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -238,6 +238,42 @@ class TestFirewall:
         assert "ZeroDivisionError: oops" in text
         assert "Traceback" in text
         assert 'command "pycrash"' in text
+
+
+    @pytest.mark.parametrize("reporter", ["eventcore", "xt", "wafe",
+                                          "server"])
+    def test_failing_report_sink_falls_back_to_stderr(self, reporter,
+                                                        capsys):
+        def broken_sink(message):
+            raise RuntimeError("sink down")
+
+        close_all_displays()
+        if reporter == "server":
+            from repro.server import WafeServer
+
+            server = WafeServer(log=broken_sink)
+            try:
+                server.log("advisory")
+            finally:
+                server.shutdown()
+            prefix = "wafe-server"
+        elif reporter == "eventcore":
+            from repro.xt.eventcore import EventCore
+
+            core = EventCore()
+            core.report = broken_sink
+            core._report("advisory")
+            prefix = "eventcore"
+        else:
+            wafe = make_wafe()
+            if reporter == "xt":
+                wafe.app.message_hook = broken_sink
+                wafe.app.report_message("advisory")
+            else:
+                wafe.error_sink = broken_sink
+                wafe.report_error("advisory")
+            prefix = "wafe"
+        assert "%s: advisory\n" % prefix in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -516,27 +552,27 @@ class TestFrontendContainment:
 
 
 class TestEvalStats:
-    def test_info_evalstats(self, tcl):
+    def test_info_stats_eval(self, tcl):
         tcl.eval("set x 1")
-        fields = tcl.eval("info evalstats").split()
+        fields = tcl.eval("info stats tcl.eval.*").split()
         stats = dict(zip(fields[::2], fields[1::2]))
-        assert int(stats["commands"]) > 0
-        assert stats["recursionLimit"] == "1000"
-        assert int(stats["peakNesting"]) >= 1
+        assert int(stats["tcl.eval.cmd_count"]) > 0
+        assert stats["tcl.eval.recursion_limit"] == "1000"
+        assert int(stats["tcl.eval.peak_nesting"]) >= 1
 
-    def test_info_evalstats_reset(self, tcl):
+    def test_info_stats_eval_reset(self, tcl):
         tcl.eval("proc f {} { error x }")
         tcl.eval("catch {f}")
-        tcl.eval("info evalstats reset")
-        fields = tcl.eval("info evalstats").split()
+        tcl.eval("info stats tcl.eval.* -reset")
+        fields = tcl.eval("info stats tcl.eval.*").split()
         stats = dict(zip(fields[::2], fields[1::2]))
-        assert stats["firewallCatches"] == "0"
+        assert stats["tcl.eval.firewall_catches"] == "0"
 
     def test_hidden_count_in_stats(self, wafe):
         wafe.enable_safe_mode()
-        fields = wafe.run_script("info evalstats").split()
+        fields = wafe.run_script("info stats tcl.eval.*").split()
         stats = dict(zip(fields[::2], fields[1::2]))
-        assert int(stats["hiddenCommands"]) == len(
+        assert int(stats["tcl.eval.hidden_commands"]) == len(
             wafe.run_script("info hidden").split())
 
 

@@ -497,7 +497,7 @@ class TestQuarantineSubstitution:
 
 
 # ----------------------------------------------------------------------
-# Wafe-level integration: resources, commands, info eventstats
+# Wafe-level integration: resources, commands, info stats xt.event.*
 
 
 @pytest.fixture(params=BACKENDS, ids=BACKEND_IDS)
@@ -508,32 +508,33 @@ def wafe(request, monkeypatch):
 
 
 def eventstats(wafe):
-    fields = wafe.run_script("info eventstats").split()
-    return dict(zip(fields[::2], fields[1::2]))
+    fields = wafe.run_script("info stats xt.event.*").split()
+    return {key[len("xt.event."):]: value
+            for key, value in zip(fields[::2], fields[1::2])}
 
 
 class TestWafeIntegration:
-    def test_info_eventstats_shape(self, wafe):
+    def test_info_stats_event_shape(self, wafe):
         stats = eventstats(wafe)
         expected_backend = ("select"
                             if isinstance(wafe.app.core, SelectEventCore)
                             else "selectors:")
         assert stats["backend"].startswith(expected_backend)
-        for key in ("activeInputs", "activeOutputs", "pendingTimers",
+        for key in ("active_inputs", "active_outputs", "pending_timers",
                     "registered", "dispatches", "quarantined",
-                    "slowDispatches", "staleSkips", "deadFdDrops",
-                    "handlerTimeLimitMs"):
+                    "slow_dispatches", "stale_skips", "dead_fd_drops",
+                    "handler_time_limit_ms"):
             assert key in stats
 
-    def test_info_eventstats_counts_and_reset(self, wafe):
+    def test_info_stats_event_counts_and_reset(self, wafe):
         wafe.app.add_timeout(1, lambda: None)
         wafe.app.main_loop(max_idle=5)
         stats = eventstats(wafe)
-        assert int(stats["timersFired"]) >= 1
+        assert int(stats["timers_fired"]) >= 1
         assert int(stats["polls"]) >= 1
-        wafe.run_script("info eventstats reset")
+        wafe.run_script("info stats xt.event.* -reset")
         stats = eventstats(wafe)
-        assert stats["timersFired"] == "0"
+        assert stats["timers_fired"] == "0"
         assert stats["polls"] == "0"
 
     def test_handler_time_limit_command(self, wafe):
@@ -574,7 +575,7 @@ class TestWafeIntegration:
         wafe.app.add_timeout(1, lambda: time.sleep(0.05))
         wafe.app.main_loop(max_idle=10)
         assert any("handlerTimeLimit" in e for e in errors)
-        assert eventstats(wafe)["slowDispatches"] == "1"
+        assert eventstats(wafe)["slow_dispatches"] == "1"
 
 
 # ----------------------------------------------------------------------
@@ -611,7 +612,7 @@ class TestFrontendOnBothBackends:
         assert interp.get_var("got") == "ping"
         frontend.close()
         assert frontend.exit_status is not None
-        assert eventstats(wafe)["activeInputs"] == "0"
+        assert eventstats(wafe)["active_inputs"] == "0"
 
     def test_supervisor_restart_on_new_core(self, wafe, tmp_path):
         wafe.run_script("restartPolicy on-failure 2 1")

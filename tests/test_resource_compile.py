@@ -357,8 +357,8 @@ class TestSharing:
         wafe.run_script("label l f")
         assert wafe.app.database.stats()["searches"] == searches
         assert wafe.run_script("gV l foreground") == "#000080"
-        stats = pairs_of(wafe.run_script("info xrmstats"))
-        assert int(stats["creationRecords"]) >= 2
+        stats = pairs_of(wafe.run_script("info stats xt.xrm.*"))
+        assert int(stats["xt.xrm.creation_records"]) >= 2
 
     def test_merge_drops_the_memo(self, wafe):
         wafe.run_script("form f topLevel; label l f; destroyWidget l")

@@ -427,12 +427,12 @@ class TestSupervisorLedger:
         client = open_session(server, tcp)
         roundtrip(server, client, "x")
         stats = server.serverstats()
-        assert stats["sessionsAccepted"] == 1
-        assert stats["sessionsActive"] == 1
-        assert stats["latencySamples"] >= 1
-        assert stats["dispatchP99Ms"] >= stats["dispatchP50Ms"] >= 0
-        for kind in ("Eof", "Quota", "Idle", "Shutdown"):
-            assert "ended%s" % kind in stats
+        assert stats["sessions_accepted"] == 1
+        assert stats["sessions_active"] == 1
+        assert stats["latency_samples"] >= 1
+        assert stats["dispatch_p99_ms"] >= stats["dispatch_p50_ms"] >= 0
+        for kind in ("eof", "quota", "idle", "shutdown"):
+            assert "ended_%s" % kind in stats
 
     def test_backend_status_detached_in_session(self, server, tcp):
         client = open_session(server, tcp)
@@ -458,9 +458,12 @@ class TestEventStatsScope:
                 break
         return out.decode().split(marker, 1)[1].split("\n", 1)[0]
 
+    def stat(self, server, client, key, marker):
+        return int(self.ask(server, client,
+                            "[lindex [info stats %s] 1]" % key, marker))
+
     def dispatches(self, server, client, marker):
-        fields = self.ask(server, client, "[info eventstats]", marker).split()
-        return int(dict(zip(fields[::2], fields[1::2]))["dispatches"])
+        return self.stat(server, client, "xt.event.dispatches", marker)
 
     def test_session_cannot_reset_shared_counters(self, server, tcp):
         a = open_session(server, tcp)
@@ -470,12 +473,32 @@ class TestEventStatsScope:
         before = self.dispatches(server, b, "before=")
         assert before > 0
         reply = self.ask(server, a,
-                         "[catch {info eventstats reset} msg]:$msg", "reset=")
-        assert reply == ("1:info eventstats reset: the event core is "
-                         "shared with other sessions")
+                         "[catch {info stats xt.event.* -reset} msg]:$msg",
+                         "reset=")
+        assert reply == ('1:info stats: cannot reset "xt.event": it is '
+                         'shared beyond this interpreter')
         # The neighbour's view of the shared core was not zeroed.
         assert self.dispatches(server, b, "after=") >= before
         assert server.core.stats()["dispatches"] >= before
+
+    def test_session_cannot_reset_shared_expr_cache(self, server, tcp):
+        # The expr AST cache is process-wide: one session resetting it
+        # would zero the counters every other session reads.
+        a = open_session(server, tcp)
+        b = open_session(server, tcp)
+        roundtrip(server, a, "warm-a")
+        # Expression texts no other test evaluates: two misses.
+        b.sendall(b"%set e {1+2+0*90417}; expr $e; "
+                  b"set e {3+4+0*90417}; expr $e\n")
+        pump(server)
+        before = self.stat(server, b, "tcl.expr.misses", "before=")
+        assert before >= 2
+        reply = self.ask(server, a,
+                         "[catch {info stats tcl.expr.* -reset} msg]:$msg",
+                         "reset=")
+        assert reply == ('1:info stats: cannot reset "tcl.expr": it is '
+                         'shared beyond this interpreter')
+        assert self.stat(server, b, "tcl.expr.misses", "after=") >= before
 
 
 class TestStdioSession:

@@ -170,13 +170,13 @@ class TestEquivalence:
         stats = tcl_expr.ast_cache.stats()
         assert stats["hits"] == 0 and stats["misses"] == 0
 
-    def test_cachestats_reset_clears_bytecode_counters(self):
+    def test_stats_reset_clears_bytecode_counters(self):
         interp = Interp()
         script = "set hatch 3"
         interp.eval(script)
         interp.eval(script)
         assert interp.cache_stats()["bytecode"]["hits"] >= 1
-        interp.eval("info cachestats reset")
+        interp.eval("info stats tcl.bytecode.* -reset")
         stats = interp.cache_stats()["bytecode"]
         assert stats["hits"] == 0 and stats["misses"] == 0
 
@@ -207,13 +207,13 @@ class TestTracesUnderCaching:
 
 
 # ----------------------------------------------------------------------
-# info cachestats
+# info stats tcl.*
 
 
 class TestCacheStats:
     def test_counters_move_on_repeat_eval(self):
         interp = Interp()
-        interp.eval("info cachestats reset")
+        interp.eval("info stats tcl.bytecode.* -reset")
         script = "set y 42"
         interp.eval(script)
         before = interp.cache_stats()["bytecode"]
@@ -224,7 +224,7 @@ class TestCacheStats:
 
     def test_tree_walker_parse_counters_move_on_repeat_eval(self):
         interp = Interp(compile=False)
-        interp.eval("info cachestats reset")
+        interp.eval("info stats tcl.parse.* -reset")
         script = "set y 42"
         interp.eval(script)
         before = interp.cache_stats()["parse"]
@@ -237,18 +237,20 @@ class TestCacheStats:
         interp = Interp()
         from repro.tcl import string_to_list
 
-        report = string_to_list(interp.eval("info cachestats"))
+        report = string_to_list(interp.eval("info stats tcl.*"))
         assert len(report) % 2 == 0
-        names = report[0::2]
-        assert {"parse", "bytecode", "expr"} == set(names)
-        fields = string_to_list(report[names.index("bytecode") * 2 + 1])
-        assert "hits" in fields and "evictions" in fields
+        keys = report[0::2]
+        assert {"parse", "bytecode", "expr", "eval", "vm"} == {
+            key.split(".")[1] for key in keys}
+        assert "tcl.bytecode.hits" in keys
+        assert "tcl.bytecode.evictions" in keys
 
     def test_reset(self):
         interp = Interp()
         interp.eval("set z 1")
         interp.eval("set z 1")
-        interp.eval("info cachestats reset")
+        interp.eval("info stats tcl.parse.* -reset; "
+                    "info stats tcl.bytecode.* -reset")
         stats = interp.cache_stats()["parse"]
         assert stats["hits"] == 0 and stats["misses"] == 0
         stats = interp.cache_stats()["bytecode"]

@@ -58,7 +58,9 @@ def snapshot(engine, script, rounds=2, commands=None, prelude=None):
         except TclError:
             observed.append((global_name, None))
     observed.append(("cmdcount", interp.eval("info cmdcount")))
-    observed.append(("trips", interp.eval_stats()["limit_trips"]))
+    observed.append(("trips", {
+        key: count for key, count in interp.eval_stats().items()
+        if key.startswith("trips_")}))
     return observed
 
 

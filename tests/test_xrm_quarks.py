@@ -4,7 +4,7 @@ Covers the quark intern table, the tree-backed search-list lookup and
 its equivalence to the naive matcher in tests/oracles/xrm.py
 (differential test),
 resource-file escape decoding, specifier validation and its
-mergeResources advisory, generation invalidation, ``info xrmstats``,
+mergeResources advisory, generation invalidation, ``info stats xt.xrm.*``,
 the event-type dispatch index, and the shell ``geometry`` resource.
 """
 
@@ -331,35 +331,35 @@ class TestGenerationInvalidation:
         assert len(errors) == 2
 
 
-class TestInfoXrmstats:
+class TestInfoStatsXrm:
     def test_reports_counters(self, wafe):
-        wafe.run_script("info xrmstats reset")
+        wafe.run_script("info stats xt.xrm.* -reset")
         wafe.run_script("mergeResources {*Command.label: X}")
         wafe.run_script("form f topLevel")
         wafe.run_script("command b f")
-        stats = wafe.run_script("info xrmstats")
+        stats = wafe.run_script("info stats xt.xrm.*")
         fields = stats.split()
         pairs = dict(zip(fields[::2], fields[1::2]))
-        assert int(pairs["entries"]) >= 1
-        assert int(pairs["quarks"]) > 0
-        assert int(pairs["searches"]) > 0
-        assert int(pairs["generationBumps"]) >= 1
-        assert 0.0 <= float(pairs["searchListHitRate"]) <= 1.0
+        assert int(pairs["xt.xrm.entries"]) >= 1
+        assert int(pairs["xt.xrm.quarks"]) > 0
+        assert int(pairs["xt.xrm.searches"]) > 0
+        assert int(pairs["xt.xrm.generation_bumps"]) >= 1
+        assert 0.0 <= float(pairs["xt.xrm.searchlist_hit_rate"]) <= 1.0
 
     def test_reset(self, wafe):
         wafe.run_script("form f topLevel")
-        wafe.run_script("info xrmstats reset")
-        stats = wafe.run_script("info xrmstats")
+        wafe.run_script("info stats xt.xrm.* -reset")
+        stats = wafe.run_script("info stats xt.xrm.*")
         fields = stats.split()
         pairs = dict(zip(fields[::2], fields[1::2]))
-        assert pairs["searches"] == "0"
-        assert pairs["searchListHits"] == "0"
+        assert pairs["xt.xrm.searches"] == "0"
+        assert pairs["xt.xrm.searchlist_hits"] == "0"
 
     def test_wrong_args(self, wafe):
         from repro.tcl.errors import TclError
 
         with pytest.raises(TclError):
-            wafe.run_script("info xrmstats bogus extra")
+            wafe.run_script("info stats xt.xrm.* bogus extra")
 
 
 class TestTranslationIndex:
