@@ -6,14 +6,17 @@ passed through to Wafe's stdout.  A command must fit in one line; the
 maximum length is a compile-time constant in the paper (64 kB default)
 and a constructor argument here.
 
-:class:`LineParser` is the transport-independent core -- the frontend
-feeds it whatever bytes arrive on the pipe; it splits lines, enforces
-the length limit, and classifies command versus passthrough.  The mass
-transfer channel bypasses this parser entirely
+:class:`LineParser` is the transport-independent core -- a
+:class:`LineChannel` feeds it whatever bytes its transport delivers; it
+splits lines, enforces the length limit, and classifies command versus
+passthrough.  The mass transfer channel bypasses this parser entirely
 (:class:`MassTransferState`).
 """
 
 import collections
+import time as _time
+
+from repro.tcl.errors import log_panic
 
 DEFAULT_PREFIX = "%"
 DEFAULT_MAX_LINE = 64 * 1024
@@ -106,14 +109,22 @@ class LineParser:
         return len(self._buffer)
 
 
-class OutboundChannel:
-    """The transport-independent outbound half of a line channel.
+class LineChannel:
+    """One endpoint of the line protocol, over a transport.
 
-    Both halves of Wafe's process model speak through this machine: the
-    stdio :class:`~repro.core.frontend.Frontend` (pipes to a spawned
-    backend) and the server's :class:`~repro.server.session.Session`
-    (a socket to a connected client) are the same channel over
-    different descriptors.  The contract, shared by both:
+    Both halves of Wafe's process model are this one class: the stdio
+    :class:`~repro.core.frontend.Frontend` (pipes to a spawned backend)
+    and the server's :class:`~repro.server.session.Session` (a
+    connected client) are the same channel over different transports.
+    A transport offers ``read_obj()`` (registered for read-readiness),
+    ``write_fd()``, ``recv()`` (bytes; ``b""`` on EOF or death; None on
+    EAGAIN), ``send(chunk)`` (a byte count, or None on EAGAIN),
+    ``flush()``, ``close()`` and a ``closed`` flag.
+
+    Inbound, each read is split into lines; command lines run inside
+    the panic firewall, one at a time (a ``%setPrefix`` affects the
+    very next line), and the rest of a read is dropped as soon as the
+    endpoint closes (``quit``) or is doomed.  Outbound:
 
     * ``send`` never blocks.  Text is coalesced in ``_out_buffer``;
       :meth:`flush` moves it to the wire; bytes the kernel will not
@@ -123,12 +134,13 @@ class OutboundChannel:
       ``high_water`` queued bytes, output is *dropped* with one
       reported overflow per episode (``dropped_bytes`` counts).
     * Frame-granularity pipelining: output batches until a flush
-      point (end-of-dispatch frame hook, explicit sync, or the
-      :attr:`FLUSH_THRESHOLD` latency bound).
+      point (end-of-dispatch frame hook, explicit sync, the end of a
+      read, or the :attr:`FLUSH_THRESHOLD` latency bound).
 
-    Subclasses provide the transport: :meth:`_channel_open`,
-    :meth:`_channel_write`, :meth:`_channel_dead`, the readiness-watch
-    hooks, and the ``high_water`` policy source.
+    Subclasses supply the policy: ``high_water``, ``_report(message)``
+    (a protocol error for the peer), ``_non_command(line)``,
+    ``_transport_lost()`` and ``_report_overflow()``; they may extend
+    :meth:`_line_too_long`, :meth:`_run_command` and :meth:`_after_read`.
     """
 
     # How much outbound data may accumulate before we stop deferring
@@ -136,7 +148,15 @@ class OutboundChannel:
     # capacity so the write usually completes in one call).
     FLUSH_THRESHOLD = 32768
 
-    def _init_outbound(self):
+    #: A pending teardown reason: once set, the rest of a read is dropped.
+    doomed = None
+
+    def __init__(self, wafe, transport, parser, label, drain_label):
+        self.wafe = wafe
+        self.transport = transport
+        self.parser = parser
+        self.label = label
+        self._drain_label = drain_label
         self._out_buffer = []
         self._out_buffered_bytes = 0
         self._pending = collections.deque()
@@ -147,6 +167,9 @@ class OutboundChannel:
         self.dropped_bytes = 0
         self.closed = False
         self.stats = self.zero_stats()
+        self._input_id = wafe.app.add_input(transport.read_obj(),
+                                            self._on_readable, label=label)
+        wafe.app.add_frame_hook(self._frame_flush)
 
     @staticmethod
     def zero_stats():
@@ -161,49 +184,54 @@ class OutboundChannel:
     def reset_stats(self):
         self.stats.update(self.zero_stats())
 
-    # -- the transport contract (subclass responsibilities) ------------
+    # -- inbound ----------------------------------------------------------
 
-    @property
-    def high_water(self):
-        """Backpressure limit: total queued outbound bytes allowed."""
-        return 1 << 20
+    def _on_readable(self, fileobj):
+        data = self.transport.recv()
+        if data is None:
+            return  # spurious wakeup
+        if not data:
+            self._peer_gone()
+            return
+        # An oversized line is reported and the parser resynchronizes
+        # at the next newline; every valid line in the read -- before
+        # or after the overflow -- is still processed.
+        lines, errors = self.parser.split_lines_tolerant(data)
+        for err in errors:
+            self._line_too_long(err)
+        for raw in lines:
+            if self.closed or self.doomed:
+                break
+            kind, line = self.parser.classify(raw)
+            if kind == "command":
+                self._run_command(line)
+            else:
+                self._non_command(line)
+        if self.closed:
+            return
+        self._after_read()
+        # Replies the commands queued go out as one write, promptly --
+        # a peer blocked on readline() must not wait for loop idle.
+        self.flush()
 
-    def _channel_open(self):
-        """True while the transport can still accept writes."""
-        raise NotImplementedError
+    def _line_too_long(self, err):
+        self._report(str(err))
 
-    def _channel_write(self, chunk):
-        """One non-blocking write; returns the byte count, or None on
-        EAGAIN.  May raise OSError-family errors for a dead peer."""
-        raise NotImplementedError
+    def _run_command(self, line):
+        # Last-resort firewall: a Python exception escaping one line
+        # must not tear down the reader (and with it the GUI); later
+        # lines in this read still run.
+        try:
+            self.wafe.run_command_line(line)
+        except Exception as exc:  # noqa: BLE001
+            summary = log_panic('%s line "%s"' % (self.label, line[:80]),
+                                exc)
+            self._report("internal error evaluating line (%s)" % summary)
 
-    def _channel_dead(self):
-        """The peer is gone (write raised); outbound state is already
-        cleared when this is called."""
-        raise NotImplementedError
+    def _after_read(self):
+        """Hook: runs after a read's lines, before its flush."""
 
-    def _channel_flushed(self):
-        """Called once per drain-to-empty with data written; returns
-        False if the transport died during the post-write flush."""
-        return True
-
-    def _add_output_watch(self, callback):
-        raise NotImplementedError
-
-    def _remove_output_watch(self, watch_id):
-        raise NotImplementedError
-
-    def _add_idle_flush(self, callback):
-        """Schedule a one-shot idle flush; return an id or None."""
-        return None
-
-    def _remove_idle_flush(self, work_id):
-        pass
-
-    def _report_overflow(self):
-        """One queued-beyond-high-water episode (already counted)."""
-
-    # -- the shared machine ---------------------------------------------
+    # -- outbound ---------------------------------------------------------
 
     def queued_bytes(self):
         """Everything waiting to reach the peer."""
@@ -217,7 +245,7 @@ class OutboundChannel:
         single ``write()`` on the descriptor.  Data beyond the
         high-water mark is dropped with a reported error rather than
         buffered without bound (the peer is not reading)."""
-        if self.closed or not self._channel_open():
+        if self.closed or self.transport.closed:
             return
         if self.queued_bytes() + len(text) > self.high_water:
             self.dropped_bytes += len(text)
@@ -231,7 +259,8 @@ class OutboundChannel:
         if self._out_buffered_bytes >= self.FLUSH_THRESHOLD:
             self.flush()
         elif self._flush_work_id is None:
-            self._flush_work_id = self._add_idle_flush(self._idle_flush)
+            self._flush_work_id = self.wafe.app.add_work_proc(
+                self._idle_flush)
 
     def _idle_flush(self):
         self.flush()
@@ -260,9 +289,7 @@ class OutboundChannel:
         Never blocks: what the kernel will not take right now stays in
         the pending queue and an output watch on the event loop drains
         it as the peer reads."""
-        if self._flush_work_id is not None:
-            self._remove_idle_flush(self._flush_work_id)
-            self._flush_work_id = None
+        self._cancel_idle_flush()
         if self._out_buffer:
             data = "".join(self._out_buffer).encode("utf-8", "replace")
             self._out_buffer = []
@@ -272,20 +299,18 @@ class OutboundChannel:
         self._write_pending()
 
     def _write_pending(self):
-        if self.closed or not self._channel_open():
+        if self.closed or self.transport.closed:
             self._clear_outbound()
             return
         wrote_any = False
         while self._pending:
             chunk = self._pending[0]
             try:
-                n = self._channel_write(chunk)
+                n = self.transport.send(chunk)
             except BlockingIOError as err:
                 n = err.characters_written or None
-            except (BrokenPipeError, ConnectionResetError, OSError,
-                    ValueError):
-                self._clear_outbound()
-                self._channel_dead()
+            except (OSError, ValueError):
+                self._peer_gone()
                 return
             if n is None:       # EAGAIN: the descriptor is full
                 break
@@ -299,21 +324,66 @@ class OutboundChannel:
             self._pending.popleft()
         if self._pending:
             if self._output_id is None:
-                self._output_id = self._add_output_watch(self._on_writable)
-        else:
-            self._cancel_output_watch()
-            if self._overflowed:
-                self._overflowed = False  # drained: report again next time
-            if wrote_any and not self._channel_flushed():
-                self._clear_outbound()
-                self._channel_dead()
+                self._output_id = self.wafe.app.add_output(
+                    self.transport.write_fd(), self._on_writable,
+                    label=self._drain_label)
+            return
+        self._cancel_output_watch()
+        self._overflowed = False  # drained: report again next time
+        if wrote_any:
+            try:
+                self.transport.flush()
+            except (OSError, ValueError):
+                self._peer_gone()
 
     def _on_writable(self, fd):
         self._write_pending()
 
+    def drain(self, deadline):
+        """Bounded best-effort drain of queued output before teardown.
+
+        The wait goes through the event core's ``wait_writable`` --
+        EINTR-safe against the monotonic ``deadline``, and returning
+        False on a dead descriptor -- so neither signal delivery nor a
+        vanished peer can stall a close past its budget."""
+        self.flush()
+        core = self.wafe.app.core
+        fd = self.transport.write_fd()
+        while self._pending and not self.closed:
+            remaining = deadline - _time.monotonic()
+            if remaining <= 0 or not core.wait_writable(fd, remaining):
+                break
+            self._write_pending()
+
+    # -- teardown ---------------------------------------------------------
+
+    def _peer_gone(self):
+        """EOF, or a write found the peer dead: nothing more will be
+        read, and queued output can never arrive."""
+        self._remove_reader()
+        self._clear_outbound()
+        self._transport_lost()
+
+    def _remove_reader(self):
+        if self._input_id is not None:
+            self.wafe.app.remove_input(self._input_id)
+            self._input_id = None
+
+    def _detach(self):
+        """Close the channel: no more reads, flush points or output."""
+        self.closed = True
+        self.wafe.app.remove_frame_hook(self._frame_flush)
+        self._clear_outbound()
+        self._remove_reader()
+
+    def _cancel_idle_flush(self):
+        if self._flush_work_id is not None:
+            self.wafe.app.remove_work_proc(self._flush_work_id)
+            self._flush_work_id = None
+
     def _cancel_output_watch(self):
         if self._output_id is not None:
-            self._remove_output_watch(self._output_id)
+            self.wafe.app.remove_output(self._output_id)
             self._output_id = None
 
     def _clear_outbound(self):
@@ -322,9 +392,11 @@ class OutboundChannel:
         self._pending.clear()
         self._pending_bytes = 0
         self._cancel_output_watch()
-        if self._flush_work_id is not None:
-            self._remove_idle_flush(self._flush_work_id)
-            self._flush_work_id = None
+        self._cancel_idle_flush()
+
+
+#: The benchmark probes (``perfbench/probes.py``) patch this name.
+OutboundChannel = LineChannel
 
 
 class MassTransferState:

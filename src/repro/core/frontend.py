@@ -11,12 +11,14 @@ The program to launch comes either from an explicit argument or from
 the paper's naming scheme: when Wafe is invoked through a link named
 ``xfoo``, the backend program ``foo`` is spawned.
 
-The outbound channel is fully non-blocking: the backend's stdin is put
-in O_NONBLOCK mode, partial writes and EAGAIN park the remainder in a
-bounded pending queue drained through an output-readiness watch on the
-Xt event loop, and a high-water limit turns unbounded buffering into a
-reported error -- a stalled backend can never freeze the GUI inside
-``write()``.  See docs/ROBUSTNESS.md.
+The channel is the shared :class:`~repro.core.channel.LineChannel`
+over a :class:`PipeTransport`.  Its outbound half is fully
+non-blocking: the backend's stdin is put in O_NONBLOCK mode, partial
+writes and EAGAIN park the remainder in a bounded pending queue drained
+through an output-readiness watch on the Xt event loop, and a
+high-water limit turns unbounded buffering into a reported error -- a
+stalled backend can never freeze the GUI inside ``write()``.  See
+docs/ROBUSTNESS.md.
 """
 
 import os
@@ -25,14 +27,12 @@ import subprocess
 import sys
 import time as _time
 
-from repro.tcl.errors import TclError, log_panic
-from repro.core.channel import (
-    DEFAULT_MAX_LINE,
-    DEFAULT_PREFIX,
-    LineParser,
-    MassTransferState,
-    OutboundChannel,
-)
+from repro.tcl.errors import TclError
+from repro.core.channel import LineChannel, LineParser, MassTransferState
+
+#: Seconds pending output gets to reach the backend before the pipe
+#: is torn down (close) or the child is waited for.
+CLOSE_DRAIN_SECONDS = 0.5
 
 
 def backend_for_invocation(invoked_as):
@@ -50,24 +50,65 @@ def _classify(returncode):
     return classify_exit(returncode)
 
 
-class Frontend(OutboundChannel):
+class PipeTransport:
+    """The backend child's stdout (read side) and stdin (write side)."""
+
+    def __init__(self, process):
+        self.process = process
+        self.closed = False
+        self._stdout_fd = process.stdout.fileno()
+        self._stdin_fd = process.stdin.fileno()
+        os.set_blocking(self._stdout_fd, False)
+        os.set_blocking(self._stdin_fd, False)
+
+    def read_obj(self):
+        return self.process.stdout
+
+    def write_fd(self):
+        return self._stdin_fd
+
+    def recv(self):
+        try:
+            return os.read(self._stdout_fd, 65536)
+        except BlockingIOError:
+            return None
+        except (OSError, ValueError):
+            return b""
+
+    def send(self, chunk):
+        # Looked up per write, so a wrapper installed on the process's
+        # stdin is honoured.
+        return self.process.stdin.write(chunk)
+
+    def flush(self):
+        self.process.stdin.flush()  # no-op on the raw pipe
+
+    def close(self):
+        if self.closed:
+            return
+        self.closed = True
+        for stream in (self.process.stdin, self.process.stdout):
+            try:
+                stream.close()
+            except OSError:
+                pass
+
+
+class Frontend(LineChannel):
     """Owns the backend subprocess and its channels.
 
-    The outbound half is the shared :class:`OutboundChannel` machine
-    (the same one the multi-session server's sockets use; see
-    docs/SERVER.md) instantiated over the backend's stdin pipe."""
+    The command channel is the shared :class:`LineChannel` (the same
+    one the multi-session server's sessions use; see docs/SERVER.md)
+    over the backend's pipes; the mass channel is the frontend's own."""
 
     #: How many bytes may sit unarmed in the mass channel before the
     #: overrun is reported and further unarmed data dropped.
     MASS_LEFTOVER_LIMIT = 1 << 20
 
-    def __init__(self, wafe, program, program_args=None,
-                 prefix=DEFAULT_PREFIX, max_line=DEFAULT_MAX_LINE,
-                 passthrough=None, supervisor=None):
-        self.wafe = wafe
+    def __init__(self, wafe, program, program_args=None, passthrough=None,
+                 supervisor=None):
         self.program = program
         self.supervisor = supervisor
-        self.parser = LineParser(prefix, max_line)
         self.mass_state = None
         self._mass_read = None
         self._mass_child_fd = None
@@ -79,10 +120,6 @@ class Frontend(OutboundChannel):
         self.passthrough = passthrough  # callable(str) for non-command lines
         self.eof_seen = False
         self.exit_status = None     # ExitStatus once the child is reaped
-        # The shared outbound machine (coalescing buffer, non-blocking
-        # pending deque + writability watch, high-water backpressure,
-        # frame-granularity pipelining) -- see OutboundChannel.
-        self._init_outbound()
         command = self._resolve_command(program, program_args or [])
         # The mass channel exists from the start so getChannel can
         # report a stable fd number to the application.
@@ -100,13 +137,9 @@ class Frontend(OutboundChannel):
             close_fds=True,
             pass_fds=(self._mass_child_fd,),
         )
-        self._stdin_fd = self.process.stdin.fileno()
-        os.set_blocking(self._stdin_fd, False)
-        os.set_blocking(self.process.stdout.fileno(), False)
-        self._input_id = wafe.app.add_input(self.process.stdout,
-                                            self._on_readable,
-                                            label="backend stdout")
-        wafe.app.add_frame_hook(self._frame_flush)
+        super().__init__(wafe, PipeTransport(self.process), LineParser(),
+                         label="backend stdout",
+                         drain_label="backend stdin drain")
         wafe.frontend = self
         self._send_init_com()
 
@@ -129,62 +162,30 @@ class Frontend(OutboundChannel):
             self.send(value + "\n")
 
     # ------------------------------------------------------------------
-    # Application -> frontend
+    # The LineChannel policy
 
-    def _on_readable(self, fileobj):
-        try:
-            data = os.read(fileobj.fileno(), 65536)
-        except BlockingIOError:
-            return  # spurious wakeup
-        except (OSError, ValueError):
-            data = b""
-        if not data:
-            self._handle_eof()
-            return
-        # Oversized lines are reported and the parser resynchronizes
-        # at the next newline; every valid line in the read -- before
-        # or after the overflow -- is still processed.
-        lines, errors = self.parser.split_lines_tolerant(data)
-        for err in errors:
-            self.wafe.report_error(str(err))
-        # Classify lazily, one line at a time: a %setPrefix command
-        # affects the classification of the very next line.
-        for raw in lines:
-            kind, line = self.parser.classify(raw)
-            if kind == "command":
-                # Last-resort firewall: a Python exception escaping one
-                # backend line must not tear down the reader (and with
-                # it the GUI); later lines in this read still run.
-                try:
-                    self.wafe.run_command_line(line)
-                except Exception as exc:  # noqa: BLE001
-                    summary = log_panic('backend line "%s"' % line[:80], exc)
-                    self.wafe.report_error(
-                        "internal error evaluating backend line (%s)"
-                        % summary)
-            else:
-                self._passthrough(line)
-        # Replies the commands queued go out as one write, promptly --
-        # a backend blocked on readline() must not wait for loop idle.
-        self.flush()
+    @property
+    def high_water(self):
+        """Backpressure limit: total queued outbound bytes allowed."""
+        return self.wafe.supervision.high_water
 
-    def _passthrough(self, line):
+    def _report(self, message):
+        self.wafe.report_error(message)
+
+    def _non_command(self, line):
         if self.passthrough is not None:
             self.passthrough(line)
         else:
             sys.stdout.write(line + "\n")
             sys.stdout.flush()
 
-    def _handle_eof(self):
-        """Backend closed its stdout: reap it and hand the session's
-        fate to the supervisor (or end the main loop, standalone)."""
+    def _transport_lost(self):
+        """Backend closed its stdout (or a write found its stdin dead):
+        reap it and hand the session's fate to the supervisor (or end
+        the main loop, standalone)."""
         if self.eof_seen:
             return
         self.eof_seen = True
-        self.wafe.app.remove_input(self._input_id)
-        # The pipe's reader is gone with the session; pending outbound
-        # bytes can never arrive.
-        self._clear_outbound()
         self._cancel_mass_watchdog()
         self.exit_status = self._reap()
         if self.supervisor is not None:
@@ -207,73 +208,11 @@ class Frontend(OutboundChannel):
                 return None
         return _classify(returncode)
 
-    # ------------------------------------------------------------------
-    # Frontend -> application: the OutboundChannel transport hooks
-
-    @property
-    def high_water(self):
-        """Backpressure limit: total queued outbound bytes allowed."""
-        config = getattr(self.wafe, "supervision", None)
-        if config is not None:
-            return config.high_water
-        return 1 << 20
-
-    def _channel_open(self):
-        return self.process.stdin is not None
-
-    def _channel_write(self, chunk):
-        # bufsize=0 stdin is a raw FileIO whose write() honours
-        # O_NONBLOCK: a partial count, or None on EAGAIN.
-        return self.process.stdin.write(chunk)
-
-    def _channel_dead(self):
-        self._handle_eof()
-
-    def _channel_flushed(self):
-        try:
-            self.process.stdin.flush()  # no-op on raw; counts in tests
-        except (BrokenPipeError, OSError, ValueError):
-            return False
-        return True
-
-    def _add_output_watch(self, callback):
-        return self.wafe.app.add_output(self._stdin_fd, callback,
-                                        label="backend stdin drain")
-
-    def _remove_output_watch(self, watch_id):
-        self.wafe.app.remove_output(watch_id)
-
-    def _add_idle_flush(self, callback):
-        return self.wafe.app.add_work_proc(callback)
-
-    def _remove_idle_flush(self, work_id):
-        self.wafe.app.remove_work_proc(work_id)
-
     def _report_overflow(self):
-        self.wafe.report_error(
+        self._report(
             "backend channel overflow: %d bytes queued and the "
             "application is not reading; dropping output"
             % self.queued_bytes())
-
-    def _drain(self, timeout=0.5):
-        """Graceful-close drain: give pending output a bounded chance
-        to reach the backend before the pipe is torn down.
-
-        The wait goes through the event core's ``wait_writable`` --
-        EINTR-safe against a monotonic deadline, and returning False on
-        a dead descriptor -- so neither signal delivery nor a vanished
-        pipe can stall the close past its budget (this used to be a
-        private blocking ``select`` outside the event core)."""
-        self.flush()
-        core = self.wafe.app.core
-        deadline = _time.monotonic() + timeout
-        while self._pending and not self.closed and not self.eof_seen:
-            remaining = deadline - _time.monotonic()
-            if remaining <= 0:
-                break
-            if not core.wait_writable(self._stdin_fd, remaining):
-                break
-            self._write_pending()
 
     # ------------------------------------------------------------------
     # Mass transfer channel
@@ -349,8 +288,7 @@ class Frontend(OutboundChannel):
     # -- the stall watchdog
 
     def _mass_timeout_ms(self):
-        config = getattr(self.wafe, "supervision", None)
-        return config.mass_timeout_ms if config is not None else 0
+        return self.wafe.supervision.mass_timeout_ms
 
     def _arm_mass_watchdog(self):
         timeout_ms = self._mass_timeout_ms()
@@ -391,7 +329,7 @@ class Frontend(OutboundChannel):
     # ------------------------------------------------------------------
 
     def wait(self, timeout=None):
-        self._drain()
+        self.drain(_time.monotonic() + CLOSE_DRAIN_SECONDS)
         status = self.process.wait(timeout=timeout)
         if self.exit_status is None:
             self.exit_status = _classify(status)
@@ -400,22 +338,13 @@ class Frontend(OutboundChannel):
     def close(self):
         if self.closed:
             return
-        self._drain()
-        self.closed = True
-        self.wafe.app.remove_frame_hook(self._frame_flush)
-        self._clear_outbound()
+        self.drain(_time.monotonic() + CLOSE_DRAIN_SECONDS)
+        self._detach()
         self._cancel_mass_watchdog()
         if self._mass_input_id is not None:
             self.wafe.app.remove_input(self._mass_input_id)
             self._mass_input_id = None
-        if not self.eof_seen:
-            self.wafe.app.remove_input(self._input_id)
-        for stream in (self.process.stdin, self.process.stdout):
-            try:
-                if stream is not None:
-                    stream.close()
-            except OSError:
-                pass
+        self.transport.close()
         try:
             os.close(self._mass_child_fd)
         except OSError:

@@ -19,7 +19,7 @@ from repro.xt.callbacks import CallbackList
 from repro.xt.translations import merge_tables, parse_translation_table
 from repro.xt import resources as R
 from repro.core import commands as _commands
-from repro.core.channel import OutboundChannel
+from repro.core.channel import LineChannel
 from repro.core.supervisor import SupervisionConfig as _SupervisionConfig
 from repro.core.percent import substitute_action, substitute_callback
 from repro.core.predefined import PREDEFINED_CALLBACKS
@@ -140,7 +140,7 @@ class Wafe:
 
     def _channel_stats(self):
         if self.frontend is None:
-            return OutboundChannel.zero_stats()
+            return LineChannel.zero_stats()
         return self.frontend.stats
 
     def _reset_channel_stats(self):

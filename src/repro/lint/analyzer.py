@@ -21,6 +21,8 @@ still points at the right character of the file.
 
 from repro.lint.diagnostics import Diagnostic, ERROR, WARNING
 from repro.lint.knowledge import ALL_CALLBACK_CODES
+from repro.lint.regions import (
+    Region, compose, literal, offset_of, word_end, word_region, word_regions)
 from repro.tcl import parser as _parser
 from repro.tcl.errors import TclError
 from repro.tcl.lists import string_to_list
@@ -39,44 +41,6 @@ _SCRIPT_ARG_COMMANDS = frozenset((
 
 #: Nesting bound: analysis of adversarial input must terminate.
 _MAX_DEPTH = 50
-
-
-def _compose(base_line, base_col, rel_line, rel_col):
-    """Absolute position of a (line, col) relative to a region base."""
-    if rel_line == 1:
-        return base_line, base_col + rel_col - 1
-    return base_line + rel_line - 1, rel_col
-
-
-def _offset_of(text, line, col):
-    """Inverse of :func:`repro.tcl.parser.line_col` (clamped)."""
-    pos = 0
-    for __ in range(line - 1):
-        newline = text.find("\n", pos)
-        if newline < 0:
-            return len(text)
-        pos = newline + 1
-    return min(pos + col - 1, len(text))
-
-
-class _Region:
-    """A piece of script text anchored at an absolute file position."""
-
-    __slots__ = ("text", "line", "col")
-
-    def __init__(self, text, line=1, col=1):
-        self.text = text
-        self.line = line
-        self.col = col
-
-    def position(self, offset):
-        """Absolute (line, col) of a character offset in this region."""
-        rel_line, rel_col = _parser.line_col(self.text, offset)
-        return _compose(self.line, self.col, rel_line, rel_col)
-
-    def subregion(self, start, stop):
-        line, col = self.position(start)
-        return _Region(self.text[start:stop], line, col)
 
 
 class _ProcInfo:
@@ -140,10 +104,10 @@ class Analyzer:
         arbitrary interpreter mutations, so the flow pass must assume
         any variable may already be defined at its entry."""
         self._chunks.append((source, line, col, embedded))
-        self._collect_region(_Region(source, line, col), 0)
+        self._collect_region(Region(source, line, col), 0)
 
     def analyze(self, source, line=1, col=1):
-        self._analyze_region(_Region(source, line, col), 0)
+        self._analyze_region(Region(source, line, col), 0)
 
     def flow(self):
         """The flow-sensitive pass (W012..W017), once per analyzer.
@@ -185,7 +149,7 @@ class Analyzer:
                 resume = pos
                 if err.line is not None:
                     resume = max(resume,
-                                 _offset_of(text, err.line, err.col))
+                                 offset_of(text, err.line, err.col))
                 newline = text.find("\n", resume)
                 if newline < 0:
                     return
@@ -201,66 +165,13 @@ class Analyzer:
             suffix = " (line %d column %d)" % (err.line, err.col)
             if message.endswith(suffix):
                 message = message[: -len(suffix)]
-            line, col = _compose(region.line, region.col,
-                                 err.line, err.col)
+            line, col = compose(region.line, region.col,
+                                err.line, err.col)
         else:
             line, col = region.line, region.col
         self._diags.append(Diagnostic(
             "W006", message, file=self.filename,
             line=line, col=col, severity=ERROR))
-
-    @staticmethod
-    def _literal(word):
-        return word.literal_value() if word.is_literal() else None
-
-    def _word_region(self, region, word, next_pos):
-        """The raw source region a word's content occupies.
-
-        For braced and quoted words the delimiters are stripped; for
-        bare words the word runs to ``next_pos`` (the scan position
-        after the word).  Returns None for words whose raw extent
-        cannot be recovered.
-        """
-        text = region.text
-        pos = word.pos
-        if pos >= len(text):
-            return None
-        ch = text[pos]
-        if ch == "{":
-            end = _parser._skip_braces(text, pos)
-            return region.subregion(pos + 1, end - 1)
-        if ch == '"':
-            end = _parser._skip_quotes(text, pos)
-            return region.subregion(pos + 1, end - 1)
-        return region.subregion(pos, next_pos)
-
-    def _command_word_regions(self, region, parsed):
-        """Raw regions for every word of a parsed command (or None when
-        a word's extent is ambiguous -- conservative fallback)."""
-        regions = []
-        words = parsed.words
-        for i, word in enumerate(words):
-            if i + 1 < len(words):
-                next_pos = words[i + 1].pos
-            else:
-                next_pos = self._word_end(region.text, word)
-            regions.append(self._word_region(region, word, next_pos))
-        return regions
-
-    @staticmethod
-    def _word_end(text, word):
-        """End offset of the last word of a command (bare words only
-        need scanning to the next separator)."""
-        i = word.pos
-        n = len(text)
-        if i < n and text[i] in "{\"":
-            return n  # unused: braced/quoted handled by _word_region
-        while i < n and text[i] not in " \t\n;":
-            if text[i] == "\\" and i + 1 < n:
-                i += 2
-            else:
-                i += 1
-        return i
 
     # ------------------------------------------------------------------
     # Pass 1: fact collection (procs, widget creations)
@@ -270,27 +181,27 @@ class Analyzer:
             return
         for command in self._iter_commands(region, report=False):
             words = command.words
-            name = self._literal(words[0]) if words else None
+            name = literal(words[0]) if words else None
             if name is None:
                 continue
             if name == "proc" and len(words) == 4:
                 self._collect_proc(region, words, depth)
             elif name in ("applicationShell",) and len(words) >= 3:
-                widget = self._literal(words[1])
+                widget = literal(words[1])
                 if widget is not None:
                     self.widgets.setdefault(widget, "ApplicationShell")
             else:
                 class_name = self.kb.creation_class(name)
                 if class_name is not None and len(words) >= 3:
-                    widget = self._literal(words[1])
+                    widget = literal(words[1])
                     if widget is not None:
                         self.widgets.setdefault(widget, class_name)
             for sub in self._script_argument_regions(region, command):
                 self._collect_region(sub, depth + 1)
 
     def _collect_proc(self, region, words, depth):
-        name = self._literal(words[1])
-        formals_text = self._literal(words[2])
+        name = literal(words[1])
+        formals_text = literal(words[2])
         if name is None or formals_text is None:
             return
         try:
@@ -310,8 +221,8 @@ class Analyzer:
             if len(pieces) < 2:
                 min_args += 1
         self.procs[name] = _ProcInfo(name, min_args, max_args)
-        body = self._word_region(region, words[3],
-                                 self._word_end(region.text, words[3]))
+        body = word_region(region, words[3],
+                           word_end(region.text, words[3]))
         if body is not None:
             self._collect_region(body, depth + 1)
 
@@ -321,10 +232,10 @@ class Analyzer:
         scripts).  Callback strings are handled separately during
         analysis because they need class/resource context."""
         words = command.words
-        name = self._literal(words[0]) if words else None
+        name = literal(words[0]) if words else None
         if name is None or name not in _SCRIPT_ARG_COMMANDS:
             return
-        regions = self._command_word_regions(region, command)
+        regions = word_regions(region, command)
 
         def script_at(index):
             if index < len(words) and regions[index] is not None:
@@ -335,7 +246,7 @@ class Analyzer:
             # if cond body ?elseif cond body ...? ?else body?
             i = 2
             while i < len(words):
-                keyword = self._literal(words[i])
+                keyword = literal(words[i])
                 if keyword == "elseif":
                     i += 2  # skip to the body after the condition
                 elif keyword == "else":
@@ -386,8 +297,8 @@ class Analyzer:
         words = command.words
         i = 1
         while i < len(words):
-            literal = self._literal(words[i])
-            if literal is None or not literal.startswith("-"):
+            option = literal(words[i])
+            if option is None or not option.startswith("-"):
                 break
             i += 1
         i += 1  # the string being matched
@@ -404,11 +315,11 @@ class Analyzer:
                 return
             for j in range(1, len(items), 2):
                 if items[j] != "-":
-                    yield _Region(items[j], sub.line, sub.col)
+                    yield Region(items[j], sub.line, sub.col)
             return
         for j in range(i + 1, len(words), 2):
             if j < len(regions) and regions[j] is not None:
-                if self._literal(words[j]) != "-":
+                if literal(words[j]) != "-":
                     yield regions[j]
 
     # ------------------------------------------------------------------
@@ -429,7 +340,7 @@ class Analyzer:
                     % terminated_at, region, command.pos,
                     severity=WARNING)
                 terminated_at = None  # one report per block is enough
-            name = self._literal(words[0])
+            name = literal(words[0])
             self._analyze_command(region, command, name, depth)
             if name in _TERMINATORS:
                 terminated_at = name
@@ -487,12 +398,12 @@ class Analyzer:
             self._report(
                 "W002",
                 'wrong # args: should be "%s name parent '
-                '?attr value ...?"' % self._literal(words[0]),
+                '?attr value ...?"' % literal(words[0]),
                 region, command.pos)
             return
         rest_index = 3
         rest = words[3:]
-        if rest and self._literal(rest[0]) in ("-unmanaged", "unmanaged"):
+        if rest and literal(rest[0]) in ("-unmanaged", "unmanaged"):
             rest_index += 1
             rest = rest[1:]
         if len(rest) % 2 != 0:
@@ -501,7 +412,7 @@ class Analyzer:
                 "attribute list must have an even number of elements",
                 region, command.pos)
             rest = rest[:-1]
-        parent_name = self._literal(words[2])
+        parent_name = literal(words[2])
         parent_class = self.widgets.get(parent_name or "")
         self._check_attr_pairs(region, command, class_name, parent_class,
                                rest_index, depth)
@@ -511,11 +422,11 @@ class Analyzer:
         """Attr/value pairs of a creation command or setValues: W003 on
         unknown resources, recursion into callback scripts."""
         words = command.words
-        regions = self._command_word_regions(region, command)
+        regions = word_regions(region, command)
         resources = self.kb.resource_map(class_name)
         constraints = self.kb.constraint_names(parent_class)
         for i in range(first_attr, len(words) - 1, 2):
-            attr = self._literal(words[i])
+            attr = literal(words[i])
             if attr is None:
                 continue
             if resources is not None and attr not in resources \
@@ -532,7 +443,7 @@ class Analyzer:
                                            depth)
 
     def _widget_class_of(self, words, index):
-        name = self._literal(words[index]) if index < len(words) else None
+        name = literal(words[index]) if index < len(words) else None
         return self.widgets.get(name or "")
 
     # -- Percent codes (W004 / W005) ------------------------------------
@@ -612,11 +523,11 @@ class Analyzer:
     def _analyze_translations(self, region, command, table_words,
                               widget_class, depth):
         words = command.words
-        regions = self._command_word_regions(region, command)
+        regions = word_regions(region, command)
         known_actions = self.kb.action_names(widget_class)
         for index in table_words:
             table_region = regions[index]
-            text = self._literal(words[index])
+            text = literal(words[index])
             if table_region is None or text is None:
                 continue
             try:
@@ -631,8 +542,8 @@ class Analyzer:
                         for arg in args:
                             self._analyze_action_script(
                                 table_region, 0, arg, event_types)
-                            sub = _Region(arg, table_region.line,
-                                          table_region.col)
+                            sub = Region(arg, table_region.line,
+                                         table_region.col)
                             self._analyze_region(sub, depth + 1)
                     elif known_actions is not None \
                             and action_name not in known_actions:
@@ -666,8 +577,8 @@ class Analyzer:
                 'wrong # args: should be "proc name args body"',
                 region, command.pos)
             return
-        body = self._word_region(region, words[3],
-                                 self._word_end(region.text, words[3]))
+        body = word_region(region, words[3],
+                           word_end(region.text, words[3]))
         if body is not None:
             self._analyze_region(body, depth + 1)
 
@@ -690,7 +601,7 @@ class Analyzer:
             self._check_expr_word(region, words[1])
         i = 2
         while i < len(words):
-            keyword = self._literal(words[i])
+            keyword = literal(words[i])
             if keyword == "elseif" and i + 1 < len(words):
                 self._check_expr_word(region, words[i + 1])
                 i += 2
@@ -742,7 +653,7 @@ class Analyzer:
     def _check_resource_name(self, region, command, resource_word):
         words = command.words
         class_name = self._widget_class_of(words, 1)
-        resource = self._literal(resource_word)
+        resource = literal(resource_word)
         if class_name is None or resource is None:
             return
         resources = self.kb.resource_map(class_name)
@@ -764,7 +675,7 @@ class Analyzer:
                 'script"', region, command.pos)
             return
         class_name = self._widget_class_of(words, 1)
-        resource = self._literal(words[2])
+        resource = literal(words[2])
         if class_name is not None and resource is not None:
             resources = self.kb.resource_map(class_name)
             if resources is not None and resource not in resources:
@@ -773,7 +684,7 @@ class Analyzer:
                     'unknown resource "%s" for widget class %s'
                     % (resource, class_name), region, words[2].pos)
                 return
-        regions = self._command_word_regions(region, command)
+        regions = word_regions(region, command)
         if regions[3] is not None:
             self._analyze_callback(regions[3], class_name, resource or
                                    "callback", depth)
@@ -786,7 +697,7 @@ class Analyzer:
                 'wrong # args: should be "callback widget resource '
                 'function ?arg ...?"', region, command.pos)
             return
-        func = self._literal(words[3])
+        func = literal(words[3])
         if func is not None and func not in self.kb.predefined_callbacks:
             self._report(
                 "W001",
@@ -802,7 +713,7 @@ class Analyzer:
                 'wrong # args: should be "action widget mode translation '
                 '?translation ...?"', region, command.pos)
             return
-        mode = self._literal(words[2])
+        mode = literal(words[2])
         if mode is not None and mode not in ("override", "augment",
                                              "replace"):
             self._report(

@@ -19,6 +19,8 @@ become separate sub-graphs, never edges of the enclosing graph.
 
 import re
 
+from repro.lint.regions import (
+    Region, literal, offset_of, word_end, word_region, word_regions)
 from repro.tcl import parser as _parser
 from repro.tcl.errors import TclError
 from repro.tcl.lists import string_to_list
@@ -33,41 +35,6 @@ DEFERRED = "deferred"
 CALLBACK = "callback"
 
 _INFO_EXISTS = re.compile(r"\[\s*info\s+exists\s+([A-Za-z0-9_]+)\s*\]")
-
-
-def _compose(base_line, base_col, rel_line, rel_col):
-    if rel_line == 1:
-        return base_line, base_col + rel_col - 1
-    return base_line + rel_line - 1, rel_col
-
-
-def _offset_of(text, line, col):
-    pos = 0
-    for __ in range(line - 1):
-        newline = text.find("\n", pos)
-        if newline < 0:
-            return len(text)
-        pos = newline + 1
-    return min(pos + col - 1, len(text))
-
-
-class Region:
-    """A piece of script text anchored at an absolute file position."""
-
-    __slots__ = ("text", "line", "col")
-
-    def __init__(self, text, line=1, col=1):
-        self.text = text
-        self.line = line
-        self.col = col
-
-    def position(self, offset):
-        rel_line, rel_col = _parser.line_col(self.text, offset)
-        return _compose(self.line, self.col, rel_line, rel_col)
-
-    def subregion(self, start, stop):
-        line, col = self.position(start)
-        return Region(self.text[start:stop], line, col)
 
 
 class Stmt:
@@ -254,7 +221,7 @@ class _Builder:
                 resume = pos
                 if err.line is not None:
                     resume = max(resume,
-                                 _offset_of(text, err.line, err.col))
+                                 offset_of(text, err.line, err.col))
                 newline = text.find("\n", resume)
                 if newline < 0:
                     return
@@ -263,48 +230,6 @@ class _Builder:
             if command is not None and command.words:
                 yield command
 
-    @staticmethod
-    def _literal(word):
-        return word.literal_value() if word.is_literal() else None
-
-    def _word_region(self, region, word, next_pos):
-        text = region.text
-        pos = word.pos
-        if pos >= len(text):
-            return None
-        ch = text[pos]
-        if ch == "{":
-            end = _parser._skip_braces(text, pos)
-            return region.subregion(pos + 1, end - 1)
-        if ch == '"':
-            end = _parser._skip_quotes(text, pos)
-            return region.subregion(pos + 1, end - 1)
-        return region.subregion(pos, next_pos)
-
-    @staticmethod
-    def _word_end(text, word):
-        i = word.pos
-        n = len(text)
-        if i < n and text[i] in "{\"":
-            return n
-        while i < n and text[i] not in " \t\n;":
-            if text[i] == "\\" and i + 1 < n:
-                i += 2
-            else:
-                i += 1
-        return i
-
-    def _word_regions(self, region, parsed):
-        regions = []
-        words = parsed.words
-        for i, word in enumerate(words):
-            if i + 1 < len(words):
-                next_pos = words[i + 1].pos
-            else:
-                next_pos = self._word_end(region.text, word)
-            regions.append(self._word_region(region, word, next_pos))
-        return regions
-
     # -- the recursive builder -----------------------------------------
 
     def build_region(self, region, current, ctx, depth):
@@ -312,7 +237,7 @@ class _Builder:
         block control falls off into."""
         for command in self._iter_commands(region):
             words = command.words
-            name = self._literal(words[0])
+            name = literal(words[0])
             stmt = Stmt(words, region, command.pos, name=name)
             if depth > MAX_DEPTH:
                 stmt.havoc = True
@@ -344,7 +269,7 @@ class _Builder:
 
     def _handle_if(self, region, command, stmt, current, ctx, depth):
         words = command.words
-        regions = self._word_regions(region, command)
+        regions = word_regions(region, command)
         # Walk the clause structure; bail to a havoc statement on any
         # shape the interpreter would have to discover dynamically.
         n = len(words)
@@ -356,10 +281,10 @@ class _Builder:
             if i >= n:
                 ok = False
                 break
-            cond_text = self._literal(words[i])
+            cond_text = literal(words[i])
             cond_pos = words[i].pos
             i += 1
-            if i < n and self._literal(words[i]) == "then":
+            if i < n and literal(words[i]) == "then":
                 i += 1
             if i >= n or cond_text is None:
                 ok = False
@@ -374,7 +299,7 @@ class _Builder:
             i += 1
             if i >= n:
                 break
-            keyword = self._literal(words[i])
+            keyword = literal(words[i])
             if keyword == "elseif":
                 i += 1
                 continue
@@ -413,8 +338,8 @@ class _Builder:
 
     def _handle_while(self, region, command, stmt, current, ctx, depth):
         words = command.words
-        regions = self._word_regions(region, command)
-        cond_text = self._literal(words[1]) if len(words) == 3 else None
+        regions = word_regions(region, command)
+        cond_text = literal(words[1]) if len(words) == 3 else None
         body = regions[2] if len(words) == 3 and (
             words[2].braced or words[2].is_literal()) else None
         if cond_text is None or body is None:
@@ -441,7 +366,7 @@ class _Builder:
 
     def _handle_for(self, region, command, stmt, current, ctx, depth):
         words = command.words
-        regions = self._word_regions(region, command)
+        regions = word_regions(region, command)
         if len(words) != 5 or any(r is None for r in regions[1:]) or \
                 not all(w.braced or w.is_literal() for w in words[1:]):
             stmt.havoc = True
@@ -477,8 +402,8 @@ class _Builder:
     def _handle_foreach(self, region, command, stmt, current, ctx,
                         depth):
         words = command.words
-        regions = self._word_regions(region, command)
-        var = self._literal(words[1]) if len(words) == 4 else None
+        regions = word_regions(region, command)
+        var = literal(words[1]) if len(words) == 4 else None
         body = regions[3] if len(words) == 4 and (
             words[3].braced or words[3].is_literal()) else None
         if var is None or body is None:
@@ -507,7 +432,7 @@ class _Builder:
 
     def _handle_catch(self, region, command, stmt, current, ctx, depth):
         words = command.words
-        regions = self._word_regions(region, command)
+        regions = word_regions(region, command)
         body = regions[1] if len(words) in (2, 3) and (
             words[1].braced or words[1].is_literal()) else None
         if body is None:
@@ -526,7 +451,7 @@ class _Builder:
         tail.edge(after)
         current.edge(after)
         if len(words) == 3:
-            msgvar = self._literal(words[2])
+            msgvar = literal(words[2])
             if msgvar is not None:
                 after.stmts.append(Stmt(None, region, command.pos,
                                         synthetic=("def", msgvar)))
@@ -534,7 +459,7 @@ class _Builder:
 
     def _handle_time(self, region, command, stmt, current, ctx, depth):
         words = command.words
-        regions = self._word_regions(region, command)
+        regions = word_regions(region, command)
         body = regions[1] if len(words) in (2, 3) and (
             words[1].braced or words[1].is_literal()) else None
         if body is None:
@@ -551,11 +476,11 @@ class _Builder:
 
     def _handle_switch(self, region, command, stmt, current, ctx, depth):
         words = command.words
-        regions = self._word_regions(region, command)
+        regions = word_regions(region, command)
         i = 1
         while i < len(words):
-            literal = self._literal(words[i])
-            if literal is None or not literal.startswith("-"):
+            option = literal(words[i])
+            if option is None or not option.startswith("-"):
                 break
             i += 1
         i += 1  # the string being matched
@@ -573,7 +498,7 @@ class _Builder:
         else:
             for j in range(i + 1, len(words), 2):
                 if j < len(regions) and regions[j] is not None \
-                        and self._literal(words[j]) != "-":
+                        and literal(words[j]) != "-":
                     bodies.append(regions[j])
         current.stmts.append(stmt)
         if not bodies:
@@ -591,10 +516,10 @@ class _Builder:
         current.stmts.append(stmt)
         if len(words) != 4:
             return current
-        name = self._literal(words[1])
-        formals_text = self._literal(words[2])
-        body = self._word_region(region, words[3],
-                                 self._word_end(region.text, words[3]))
+        name = literal(words[1])
+        formals_text = literal(words[2])
+        body = word_region(region, words[3],
+                           word_end(region.text, words[3]))
         if name is None or formals_text is None or body is None:
             return current
         try:
@@ -640,7 +565,7 @@ class _Builder:
         script_index = _DEFERRED_SCRIPT_ARG[stmt.name]
         words = command.words
         if script_index < len(words):
-            regions = self._word_regions(region, command)
+            regions = word_regions(region, command)
             sub = regions[script_index]
             if sub is not None and (words[script_index].braced
                                     or words[script_index].is_literal()):

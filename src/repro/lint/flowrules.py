@@ -32,6 +32,7 @@ probing with catch is how Wafe scripts legitimately test state.
 
 from repro.lint import cfg, dataflow
 from repro.lint.diagnostics import ERROR, WARNING, Diagnostic
+from repro.lint.regions import literal as _literal
 from repro.tcl.compile import _fold_expr
 from repro.tcl.errors import TclError
 from repro.tcl.expr import compile_expr, is_true
@@ -100,10 +101,6 @@ class Effects:
         self.reads.add(base)
         if checked:
             self.checked.add(base)
-
-
-def _literal(word):
-    return word.literal_value() if word.is_literal() else None
 
 
 class _FlowContext:

@@ -6,7 +6,7 @@ on one process: a :class:`~repro.server.listener.WafeServer` owns a
 single shared :class:`~repro.xt.eventcore.EventCore` and accepts
 connections over Unix and TCP sockets, and every accepted connection
 becomes a :class:`~repro.server.session.Session` -- its own ``Interp``,
-simulated display, widget tree, and outbound channel, fenced in by the
+simulated display, widget tree, and line channel, fenced in by the
 interpreter fault-containment stack plus per-session resource quotas
 (:class:`~repro.server.quotas.SessionQuotas`).  A session that crashes,
 stalls, or trips its budgets is classified and reaped by the

@@ -5,9 +5,10 @@ interpreter, simulated display, widget tree, and line channel -- except
 that hundreds of them share one process and one event core.  The
 session poses as the ``wafe.frontend`` of its Wafe instance, so every
 existing command (``echo``, ``sync``, ``setPrefix``, error reporting)
-routes to the connected client unchanged; the outbound half is the same
-:class:`~repro.core.channel.OutboundChannel` machine the stdio frontend
-uses, instantiated over the client socket.
+routes to the connected client unchanged; the channel is the same
+:class:`~repro.core.channel.LineChannel` the stdio frontend uses, over
+a :class:`SocketTransport` (or :class:`StdioTransport`) instead of the
+backend's pipes.
 
 Isolation is layered: the interpreter's fault containment (eval
 budgets, recursion ceiling, the Python-exception firewall) bounds what
@@ -21,8 +22,8 @@ session leaves nothing behind on the shared loop.
 import os
 import time as _time
 
-from repro.tcl.errors import TclError, log_panic
-from repro.core.channel import LineParser, OutboundChannel
+from repro.tcl.errors import TclError
+from repro.core.channel import LineChannel, LineParser
 from repro.core.wafe import Wafe, VERSION
 from repro.server.quotas import SessionQuotas
 from repro.xlib.display import close_display
@@ -54,6 +55,9 @@ class SocketTransport:
 
     def send(self, chunk):
         return self.conn.send(chunk)
+
+    def flush(self):
+        pass  # unbuffered
 
     def close(self):
         if self.closed:
@@ -96,33 +100,35 @@ class StdioTransport:
     def send(self, chunk):
         return os.write(self.out_fd, chunk)
 
+    def flush(self):
+        pass  # unbuffered
+
     def close(self):
         self.closed = True  # stdio stays open; it belongs to the shell
 
 
-class Session(OutboundChannel):
+class Session(LineChannel):
     """One client connection with its own contained Wafe instance."""
 
     def __init__(self, server, sid, transport, build="athena",
                  quotas=None, greeting=True):
         self.server = server
         self.sid = sid
-        self.transport = transport
         self.quotas = quotas if quotas is not None else SessionQuotas()
         self.ended = False
         self.end_reason = None
-        self.doomed = None          # pending reap reason
         self.commands_run = 0
         self.created = _time.monotonic()
         self.last_activity = self.created
-        self._init_outbound()
         # The session's own toolkit world on the *shared* core: a
         # private display name keeps its widget tree and damage state
         # apart from every neighbor's.
         self.display_name = ":s%d" % sid
-        self.wafe = Wafe(build=build, display_name=self.display_name,
-                         core=server.core)
-        self.parser = LineParser(max_line=self.quotas.max_line)
+        super().__init__(
+            Wafe(build=build, display_name=self.display_name,
+                 core=server.core),
+            transport, LineParser(max_line=self.quotas.max_line),
+            label="session %d" % sid, drain_label="session %d drain" % sid)
         # Pose as the frontend: echo/sync/errors all route to the
         # client over this channel.
         self.wafe.frontend = self
@@ -136,10 +142,6 @@ class Session(OutboundChannel):
         # by none.
         self.wafe.interp.stats_sources["server"] = (server.serverstats, None)
         self.apply_quotas()
-        self._input_id = self.wafe.app.add_input(
-            transport.read_obj(), self._on_readable,
-            label="session %d" % sid)
-        self.wafe.app.add_frame_hook(self._frame_flush)
         if greeting:
             self.send("wafe server %s session %d\n" % (VERSION, sid))
             self.flush()
@@ -187,81 +189,42 @@ class Session(OutboundChannel):
         return (now - self.last_activity) * 1000.0
 
     # ------------------------------------------------------------------
-    # Client -> session (command dispatch)
-
-    def _on_readable(self, fileobj):
-        data = self.transport.recv()
-        if data is None:
-            return  # spurious wakeup
-        if not data:
-            self.end("eof")
-            return
-        self.last_activity = _time.monotonic()
-        lines, errors = self.parser.split_lines_tolerant(data)
-        for err in errors:
-            # One garbage/oversized line resynchronizes at the next
-            # newline instead of poisoning the session -- but it is a
-            # quota trip, so a client spraying garbage gets reaped.
-            self.quotas.trip("line", str(err))
-            self.send("error: %s\n" % err)
-        for raw in lines:
-            if self.ended or self.doomed:
-                break
-            kind, line = self.parser.classify(raw)
-            if kind != "command":
-                # The stdio frontend passes non-command lines through
-                # to its own stdout; a network session has no such
-                # side channel -- reflect the protocol error instead.
-                self.send("error: not a command line (prefix is %s)\n"
-                          % self.parser.prefix)
-                continue
-            started = _time.perf_counter()
-            try:
-                self.wafe.run_command_line(line)
-            except Exception as exc:  # noqa: BLE001 -- last resort
-                summary = log_panic('session %d line "%s"'
-                                    % (self.sid, line[:80]), exc)
-                self.send("error: internal error evaluating line (%s)\n"
-                          % summary)
-            self.commands_run += 1
-            self.server.record_latency(_time.perf_counter() - started)
-        if self.ended:
-            return
-        # Dispatch this session's X events (exposes from the commands
-        # just run) and write the replies through promptly -- a client
-        # blocked on readline() must not wait for loop idle.
-        self.wafe.app.process_pending()
-        self.flush()
-
-    # ------------------------------------------------------------------
-    # Session -> client: the OutboundChannel transport hooks
+    # The LineChannel policy
 
     @property
     def high_water(self):
         return self.quotas.high_water
 
-    def _channel_open(self):
-        return not self.transport.closed
+    def _report(self, message):
+        self.send("error: %s\n" % message)
 
-    def _channel_write(self, chunk):
-        return self.transport.send(chunk)
+    def _line_too_long(self, err):
+        # One garbage/oversized line resynchronizes at the next newline
+        # instead of poisoning the session -- but it is a quota trip,
+        # so a client spraying garbage gets reaped.
+        self.quotas.trip("line", str(err))
+        self._report(str(err))
 
-    def _channel_dead(self):
+    def _non_command(self, line):
+        # The stdio frontend passes non-command lines through to its own
+        # stdout; a network session has no such side channel -- reflect
+        # the protocol error instead.
+        self._report("not a command line (prefix is %s)" % self.parser.prefix)
+
+    def _run_command(self, line):
+        started = _time.perf_counter()
+        super()._run_command(line)
+        self.commands_run += 1
+        self.server.record_latency(_time.perf_counter() - started)
+
+    def _after_read(self):
+        self.last_activity = _time.monotonic()
+        # Dispatch this session's X events (exposes from the commands
+        # just run) before the replies are flushed.
+        self.wafe.app.process_pending()
+
+    def _transport_lost(self):
         self.end("eof")
-
-    def _add_output_watch(self, callback):
-        return self.wafe.app.add_output(
-            self.transport.write_fd(), callback,
-            label="session %d drain" % self.sid)
-
-    def _remove_output_watch(self, watch_id):
-        self.wafe.app.remove_output(watch_id)
-
-    def _add_idle_flush(self, callback):
-        return self.wafe.app.add_work_proc(callback)
-
-    def _remove_idle_flush(self, work_id):
-        self.wafe.app.remove_work_proc(work_id)
 
     def _report_overflow(self):
         self.quotas.trip(
@@ -290,21 +253,6 @@ class Session(OutboundChannel):
         """The ``quit`` command path (Wafe.quit closes its frontend)."""
         self.end("quit")
 
-    def drain(self, deadline):
-        """Bounded best-effort drain of queued output before teardown
-        (the SIGTERM path): wait for writability against the shared
-        monotonic deadline, never past it."""
-        self.flush()
-        core = self.server.core
-        fd = self.transport.write_fd()
-        while self._pending and not self.closed:
-            remaining = deadline - _time.monotonic()
-            if remaining <= 0:
-                break
-            if not core.wait_writable(fd, remaining):
-                break
-            self._write_pending()
-
     def end(self, reason, detail=None):
         """Tear the session down and leave nothing on the shared core.
 
@@ -319,10 +267,7 @@ class Session(OutboundChannel):
             # An orderly end owes the client whatever was queued; the
             # nonblocking flush sends what the socket will take now.
             self.flush()
-        self.closed = True
-        self.wafe.app.remove_frame_hook(self._frame_flush)
-        self._clear_outbound()
-        self.wafe.app.remove_input(self._input_id)
+        self._detach()
         # Sweep every timer/watch/work proc this session's scripts left
         # on the shared loop, then the socket and the private display.
         self.wafe.app.release_core_sources()

@@ -455,15 +455,6 @@ class _Evaluator:
             return call_math_func(node[1], [self.eval(a) for a in node[2]])
         raise TclError("internal expr error: bad node %r" % (kind,))
 
-    # Kept as methods for backward compatibility; the implementations
-    # are module-level so the bytecode VM shares the exact semantics
-    # (and error strings) with this tree walker.
-    def _unary(self, op, operand):
-        return unary_op(op, operand)
-
-    def _call_func(self, name, args):
-        return call_math_func(name, args)
-
 
 def unary_op(op, operand):
     """Apply a unary expr operator exactly as the tree walker does."""

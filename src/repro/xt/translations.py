@@ -126,19 +126,6 @@ class Production:
         self.actions = actions
         self.source = source
 
-    # Compatibility accessors for single-event productions.
-    @property
-    def event_type(self):
-        return self.specs[0].event_type
-
-    @property
-    def button(self):
-        return self.specs[0].button
-
-    @property
-    def keysym(self):
-        return self.specs[0].keysym
-
     def matches(self, event):
         """Stateless match: single-event productions only."""
         return len(self.specs) == 1 and self.specs[0].matches(event)
