@@ -118,16 +118,17 @@ _SPEEDUPS = {}
 def test_compile_layer_speedup():
     """The tentpole claim: the bytecode VM (inline caches, fused loops,
     integer shadows) gives >= 10x ops/sec on loop/expr workloads over
-    the uncompiled tree walker."""
+    the tree walker (tests/oracles/tcl.py)."""
     from repro.tcl import Interp
+    from tests.oracles.tcl import TreeInterp
 
     print("\nTcl engines, ops/sec (evals of whole script):")
     speedups = _SPEEDUPS
     for name, script in _COMPILE_WORKLOADS.items():
-        vm_interp = Interp(compile=True)
+        vm_interp = Interp()
         vm_interp.reset_cache_stats()
         baseline, vm = _ops_per_sec_multi(
-            [Interp(compile=False), vm_interp], script)
+            [TreeInterp(), vm_interp], script)
         stats = vm_interp.cache_stats()
         speedups[name] = vm / baseline
         print("  %-18s tree %11.0f  vm %11.0f (%5.2fx)"

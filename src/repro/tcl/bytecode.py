@@ -2,11 +2,15 @@
 
 The compile layer (``repro.tcl.compile``) lowers a parsed script to a
 :class:`Code` object: a flat tuple of statement ops, each a plain tuple
-whose first element is an opcode constant.  Control constructs carry
-nested :class:`Code` blocks (mirroring Tcl's "everything is a script"
-model), and ``expr`` conditions carry small stack programs.  The VM
-proper lives in ``repro.tcl.vm``; this module only defines the shapes
-plus a disassembler for ``info bytecode disassemble``.
+whose first element is an opcode constant.  A command the VM does not
+inline is an ``OP_CALL`` whose words use the same ``W_*`` descriptors
+as the inlined statements' arguments (a fully-literal command carries
+its argv precomputed instead); every inlined op keeps that ``OP_CALL``
+as its deopt fallback.  Control constructs carry nested :class:`Code`
+blocks (mirroring Tcl's "everything is a script" model), and ``expr``
+conditions carry small stack programs.  The VM proper lives in
+``repro.tcl.vm``; this module only defines the shapes plus a
+disassembler for ``info bytecode disassemble``.
 
 Inline caches
 -------------
@@ -26,7 +30,8 @@ takes the slow path and fills them.
 # ----------------------------------------------------------------------
 # Statement opcodes
 
-OP_CALL = 0      # (OP_CALL, plan_command)
+OP_CALL = 0      # (OP_CALL, literal_argv, None, line) or
+                 # (OP_CALL, None, words, line)
 OP_SET = 1       # (OP_SET, cell, name, word, line, fallback, func)
 OP_SETRD = 2     # (OP_SETRD, cell, name, line, fallback, func)
 OP_INCR = 3      # (OP_INCR, cell, name, dconst, dword, dlit, line, fb, func)
@@ -39,12 +44,12 @@ OP_FOREACH = 7   # (OP_FOREACH, cell, name, items, word, body, text,
 OP_EXPR = 8      # (OP_EXPR, cell, prog, text, line, fb, func)
 
 # ----------------------------------------------------------------------
-# Word descriptors (argument positions of inlined statements)
+# Word descriptors (OP_CALL words and inlined statements' arguments)
 
 W_CONST = 0      # (W_CONST, value, int_or_None)
 W_VAR = 1        # (W_VAR, cell, name) -- plain scalar $name
 W_VARIDX = 2     # (W_VARIDX, (name, index_parts))
-W_CMD = 3        # (W_CMD, script) -- [script], compiled lazily at run
+W_CMD = 3        # (W_CMD, script) -- [script], run through Interp.eval
 W_CODE = 4       # (W_CODE, code) -- [script] with embedded Code
 W_PARTS = 5      # (W_PARTS, parts) -- general multi-part word
 
@@ -97,8 +102,7 @@ def new_word_cell():
 class Code:
     """A compiled script: a tuple of statement ops plus provenance.
 
-    ``execute`` runs the ops on the VM; ``Interp.eval_compiled``
-    calls it.
+    ``execute`` runs the ops on the VM; ``Interp.eval`` calls it.
     """
 
     __slots__ = ("ops", "source", "inline_ops", "generic_ops")
@@ -199,7 +203,7 @@ def disassemble_expr(prog, indent=0):
             detail = " -> %d" % op[1]
         elif kind == E_FUNC:
             detail = " %s/%d" % (op[1], op[2])
-        lines.append("%s%3d  %-7s%s" % (pad, i, name, detail))
+        lines.append(("%s%3d  %-7s%s" % (pad, i, name, detail)).rstrip())
         if kind == E_CODE:
             lines.append(disassemble(op[1], indent + 1))
     return "\n".join(lines)
@@ -226,9 +230,10 @@ def disassemble(code, indent=0):
         kind = op[0]
         name = _OP_NAMES.get(kind, "?%r" % (kind,))
         if kind == OP_CALL:
+            words = op[2] if op[1] is None else [
+                (W_CONST, arg, None) for arg in op[1]]
             lines.append("%s%3d  call     %s" % (
-                pad, i, _clip(getattr(op[1], "source", None)
-                              or repr(op[1]), 60)))
+                pad, i, ", ".join(_describe_word(w) for w in words)))
         elif kind == OP_SET:
             lines.append("%s%3d  set      %s <- %s" % (
                 pad, i, op[2], _describe_word(op[3])))

@@ -240,11 +240,10 @@ def cmd_if(interp, argv):
 def cmd_while(interp, argv):
     if len(argv) != 3:
         _wrong_args("while test command")
-    body = interp.script_evaluator(argv[2])
-    test = interp.compile_expr_truth(argv[1])
-    while test():
+    test, body = argv[1], argv[2]
+    while interp.eval_expr_truth(test):
         try:
-            body()
+            interp.eval(body)
         except TclBreak:
             break
         except TclContinue:
@@ -255,31 +254,27 @@ def cmd_while(interp, argv):
 def cmd_for(interp, argv):
     if len(argv) != 5:
         _wrong_args("for start test next command")
-    start = argv[1]
-    test = interp.compile_expr_truth(argv[2])
-    nxt = interp.script_evaluator(argv[3])
-    body = interp.script_evaluator(argv[4])
-    interp.eval(start)
-    while test():
+    test, nxt, body = argv[2], argv[3], argv[4]
+    interp.eval(argv[1])
+    while interp.eval_expr_truth(test):
         try:
-            body()
+            interp.eval(body)
         except TclBreak:
             break
         except TclContinue:
             pass
-        nxt()
+        interp.eval(nxt)
     return ""
 
 
 def cmd_foreach(interp, argv):
     if len(argv) != 4:
         _wrong_args("foreach varName list command")
-    name, items = argv[1], string_to_list(argv[2])
-    body = interp.script_evaluator(argv[3])
+    name, items, body = argv[1], string_to_list(argv[2]), argv[3]
     for item in items:
         interp.set_var(name, item)
         try:
-            body()
+            interp.eval(body)
         except TclBreak:
             break
         except TclContinue:

@@ -1,8 +1,8 @@
-"""Compiled executable forms of parsed Tcl scripts.
+"""The script -> bytecode compiler (the VM front end).
 
-The parser produces a substitution-free tree; this module turns that
-tree into the cheapest shape that can still honour Tcl's late-binding
-semantics.  Three observations drive the design:
+The parser produces a substitution-free tree; this module lowers it to
+a :class:`repro.tcl.bytecode.Code` object.  Two observations drive the
+design:
 
 * Most words in real Wafe scripts are pure literals, so most commands
   have a fully-literal argv that can be computed **once** at compile
@@ -11,15 +11,12 @@ semantics.  Three observations drive the design:
 * Commands are looked up by name **at call time**, never bound at
   compile time: ``proc`` redefinition, ``rename``, and the ``unknown``
   fallback must behave identically whether or not a script was cached.
-  A compiled command therefore stores strings, not function objects,
-  and routes through :meth:`Interp.call` like uncompiled evaluation.
-* Mixed words reduce to a small *substitution plan*: a flat tuple of
-  (opcode, payload) steps with dedicated fast opcodes for the two
-  overwhelmingly common shapes, a bare ``$var`` word and a bare
-  ``[cmd]`` word.
+  A generic ``OP_CALL`` therefore stores strings and word descriptors,
+  not function objects, and routes through :meth:`Interp.call`.
 
-Plan-compiled commands (:func:`compile_command`) are the generic
-``OP_CALL`` ops and the deopt fallbacks of the bytecode emitted below;
+Every command becomes an ``OP_CALL`` unless it is one of the hot
+builtins the VM inlines (set/incr/expr and the control constructs);
+an inlined op carries its ``OP_CALL`` as the deopt fallback.
 ``Interp`` memoises whole scripts' bytecode in a per-interp LRU keyed
 on the script text (``eval`` of a repeated callback string skips parse
 *and* compile).
@@ -38,128 +35,10 @@ from repro.tcl.expr import (
 from repro.tcl.lists import string_to_list
 
 __all__ = [
-    "compile_command",
+    "compile_cond",
     "compile_script_bytecode",
 ]
 
-# Substitution-plan opcodes.
-OP_LITERAL = 0  # payload: the word's final string
-OP_VAR = 1      # payload: variable name (no array index)
-OP_VARIDX = 2   # payload: (name, index_parts)
-OP_CMD = 3      # payload: nested script string
-OP_PARTS = 4    # payload: the word's raw parts (general fallback)
-
-
-class _NoopCommand:
-    """A command whose (literal) first word is empty: evaluates to ""."""
-
-    __slots__ = ()
-
-    def execute(self, interp):
-        return ""
-
-
-_NOOP = _NoopCommand()
-
-
-class _LiteralCommand:
-    """All words literal: argv precomputed once, dispatch per call.
-
-    ``execute`` hands :meth:`Interp.call` a fresh list so a command
-    implementation that mutates its argv cannot corrupt the cache, and
-    the command *name* is re-resolved inside ``call`` on every
-    invocation -- redefinition and ``rename`` take effect immediately
-    even for cached scripts.  ``line`` is the command's 1-based source
-    line, precomputed at compile time and handed to ``call`` for
-    errorInfo's ``(procedure ... line N)`` markers.
-    """
-
-    __slots__ = ("argv", "line")
-
-    def __init__(self, argv, line=1):
-        self.argv = argv  # tuple of str
-        self.line = line
-
-    def execute(self, interp):
-        return interp.call(list(self.argv), self.line)
-
-
-class _DynamicCommand:
-    """At least one word needs substitution: run the precomputed plan."""
-
-    __slots__ = ("plan", "line")
-
-    def __init__(self, plan, line=1):
-        self.plan = plan  # tuple of (opcode, payload)
-        self.line = line
-
-    def execute(self, interp):
-        argv = []
-        append = argv.append
-        for op, payload in self.plan:
-            if op == OP_LITERAL:
-                append(payload)
-            elif op == OP_VAR:
-                append(interp.get_var(payload))
-            elif op == OP_CMD:
-                append(interp.eval(payload))
-            elif op == OP_VARIDX:
-                name, index_parts = payload
-                append(interp.get_var(
-                    name, interp._substitute_parts(index_parts)))
-            else:
-                append(interp._substitute_parts(payload))
-        if argv[0] == "":
-            return ""
-        return interp.call(argv, self.line)
-
-
-def _compile_word(word):
-    """One plan step for a parsed word."""
-    parts = word.parts
-    if len(parts) == 1:
-        kind, payload = parts[0]
-        if kind == _parser.LITERAL:
-            return (OP_LITERAL, payload)
-        if kind == _parser.VARSUB:
-            name, index_parts = payload
-            if index_parts is None:
-                return (OP_VAR, name)
-            return (OP_VARIDX, payload)
-        return (OP_CMD, payload)
-    return (OP_PARTS, parts)
-
-
-def compile_command(parsed, line=1):
-    """Compile one :class:`~repro.tcl.parser.ParsedCommand`."""
-    plan = tuple(_compile_word(word) for word in parsed.words)
-    if all(op == OP_LITERAL for op, __ in plan):
-        argv = tuple(payload for __, payload in plan)
-        if argv[0] == "":
-            return _NOOP
-        return _LiteralCommand(argv, line)
-    return _DynamicCommand(plan, line)
-
-
-# ======================================================================
-# The script -> bytecode emitter (the VM front end)
-#
-# Statement-level compilation for the hot builtins (set/incr/expr and
-# the control constructs), falling back to the plan layer above for
-# everything else.  An inline op is emitted only when
-#
-# * the command name is literal and bound to the expected builtin *at
-#   compile time* (a different binding means someone already renamed
-#   it; the op would deopt on every execution),
-# * the words the construct consumes structurally (variable names,
-#   loop bodies, conditions) are literal with the right arity, exactly
-#   as the builtin itself would see them, and
-# * nested bodies parse -- an unparseable body falls back to the plan
-#   path so "a loop that never runs never parses its body" still holds.
-#
-# Every inline op carries the plan-compiled fallback command; the VM
-# dispatches it whenever the command binding check fails, so ``rename
-# set assign`` behaves identically on cached bytecode.
 
 def _plain_name(name):
     """True when ``name`` is not an ``a(b)`` array reference.
@@ -188,21 +67,14 @@ def _try_compile_block(script, interp):
     return compile_script_bytecode(parsed, script, interp)
 
 
-def _emit_value_word(word, interp):
-    """A word descriptor for an argument position (set value, incr
-    delta, foreach list): may be dynamic without blocking inlining."""
+def _emit_word(word):
+    """The word descriptor of a command word; ``[script]`` stays lazy
+    (W_CMD runs through ``Interp.eval`` and its bytecode cache)."""
     parts = word.parts
     if len(parts) == 1:
         kind, payload = parts[0]
         if kind == _parser.LITERAL:
-            num = None
-            try:
-                num = int(payload)
-            except ValueError:
-                pass
-            if num is not None and str(num) != payload:
-                num = None
-            return (_bc.W_CONST, payload, num)
+            return (_bc.W_CONST, payload, None)
         if kind == _parser.VARSUB:
             name, index_parts = payload
             if index_parts is not None:
@@ -210,12 +82,64 @@ def _emit_value_word(word, interp):
             if _plain_name(name):
                 return (_bc.W_VAR, _bc.new_word_cell(), name)
             return (_bc.W_PARTS, parts)  # ${a(b)}: get_var must split
-        code = _try_compile_block(payload, interp)
-        if code is not None:
-            return (_bc.W_CODE, code)
         return (_bc.W_CMD, payload)
     return (_bc.W_PARTS, parts)
 
+
+def _emit_call(cmd, line):
+    """The generic ``OP_CALL`` for a parsed command.
+
+    A fully-literal command with a non-empty name carries its argv
+    precomputed; anything else carries its word descriptors (an empty
+    command name then evaluates to "" without dispatch).
+    """
+    argv = _literal_argv(cmd.words)
+    if argv is not None and argv[0]:
+        return (_bc.OP_CALL, tuple(argv), None, line)
+    return (_bc.OP_CALL, None, tuple(_emit_word(w) for w in cmd.words), line)
+
+
+def _emit_value_word(word, interp):
+    """A word descriptor for an argument position (set value, incr
+    delta, foreach list): may be dynamic without blocking inlining.
+    Integer literals carry their value and ``[script]`` is compiled in
+    place when it parses."""
+    desc = _emit_word(word)
+    kind = desc[0]
+    if kind == _bc.W_CONST:
+        payload = desc[1]
+        try:
+            num = int(payload)
+        except ValueError:
+            return desc
+        if str(num) == payload:
+            return (_bc.W_CONST, payload, num)
+        return desc
+    if kind == _bc.W_CMD:
+        code = _try_compile_block(desc[1], interp)
+        if code is not None:
+            return (_bc.W_CODE, code)
+    return desc
+
+
+# ----------------------------------------------------------------------
+# Inline ops
+#
+# Statement-level compilation for the hot builtins (set/incr/expr and
+# the control constructs).  An inline op is emitted only when
+#
+# * the command name is literal and bound to the expected builtin *at
+#   compile time* (a different binding means someone already renamed
+#   it; the op would deopt on every execution),
+# * the words the construct consumes structurally (variable names,
+#   loop bodies, conditions) are literal with the right arity, exactly
+#   as the builtin itself would see them, and
+# * nested bodies parse -- an unparseable body falls back to the
+#   builtin so "a loop that never runs never parses its body" holds.
+#
+# Every inline op carries its ``OP_CALL`` as the fallback; the VM
+# dispatches it whenever the command binding check fails, so ``rename
+# set assign`` behaves identically on cached bytecode.
 
 def _scalar_name(words, i):
     """The literal scalar variable name at word ``i``, or None."""
@@ -234,7 +158,7 @@ def _emit_set(cmd, line, interp, func):
     name = _scalar_name(words, 1)
     if name is None:
         return None
-    fallback = compile_command(cmd, line)
+    fallback = _emit_call(cmd, line)
     if len(words) == 2:
         return (_bc.OP_SETRD, _bc.new_cell(), name, line, fallback, func)
     word = _emit_value_word(words[2], interp)
@@ -257,10 +181,10 @@ def _emit_incr(cmd, line, interp, func):
             try:
                 dconst = int(dlit)
             except ValueError:
-                return None  # plan path raises the exact incr error
+                return None  # the OP_CALL raises the exact incr error
         else:
             dword = _emit_value_word(words[2], interp)
-    fallback = compile_command(cmd, line)
+    fallback = _emit_call(cmd, line)
     return (_bc.OP_INCR, _bc.new_cell(), name, dconst, dword, dlit,
             line, fallback, func)
 
@@ -273,9 +197,9 @@ def _emit_expr(cmd, line, interp, func):
     try:
         ast = compile_expr(text)
     except TclError:
-        return None  # plan path reports the parse error per call
+        return None  # the OP_CALL reports the parse error per call
     prog = _compile_expr_program(ast, interp)
-    fallback = compile_command(cmd, line)
+    fallback = _emit_call(cmd, line)
     frame_text = " ".join(argv)[:150]
     return (_bc.OP_EXPR, _bc.new_cell(), prog, frame_text, line,
             fallback, func)
@@ -306,7 +230,7 @@ def _emit_if(cmd, line, interp, func):
         body_code = _try_compile_block(body, interp)
         if body_code is None:
             return None
-        clauses.append((_compile_cond(condition, interp), body_code))
+        clauses.append((compile_cond(condition, interp), body_code))
         if i >= n:
             break
         if argv[i] == "elseif":
@@ -320,7 +244,7 @@ def _emit_if(cmd, line, interp, func):
         if else_code is None:
             return None
         break
-    fallback = compile_command(cmd, line)
+    fallback = _emit_call(cmd, line)
     text = " ".join(argv)[:150]
     return (_bc.OP_IF, _bc.new_cell(), tuple(clauses), else_code, text,
             line, fallback, func)
@@ -333,8 +257,8 @@ def _emit_while(cmd, line, interp, func):
     body_code = _try_compile_block(argv[2], interp)
     if body_code is None:
         return None
-    cond = _compile_cond(argv[1], interp)
-    fallback = compile_command(cmd, line)
+    cond = compile_cond(argv[1], interp)
+    fallback = _emit_call(cmd, line)
     text = " ".join(argv)[:150]
     return (_bc.OP_WHILE, _bc.new_cell(), cond, body_code, text, line,
             fallback, func)
@@ -349,9 +273,9 @@ def _emit_for(cmd, line, interp, func):
     body_code = _try_compile_block(argv[4], interp)
     if start_code is None or next_code is None or body_code is None:
         return None
-    cond = _compile_cond(argv[2], interp)
+    cond = compile_cond(argv[2], interp)
     fuse = _detect_for_fuse(start_code, cond, next_code)
-    fallback = compile_command(cmd, line)
+    fallback = _emit_call(cmd, line)
     text = " ".join(argv)[:150]
     return (_bc.OP_FOR, _bc.new_cell(), start_code, cond, next_code,
             body_code, fuse, text, line, fallback, func)
@@ -409,7 +333,7 @@ def _emit_foreach(cmd, line, interp, func):
             ("foreach", name, literal, words[3].literal_value()))[:150]
     else:
         list_word = _emit_value_word(words[2], interp)
-    fallback = compile_command(cmd, line)
+    fallback = _emit_call(cmd, line)
     return (_bc.OP_FOREACH, _bc.new_cell(), name, items, list_word,
             body_code, text, line, fallback, func)
 
@@ -439,12 +363,14 @@ _CMP_FROM_E = {
 }
 
 
-def _compile_cond(text, interp):
+def compile_cond(text, interp):
     """A condition tuple ``(prog, text, fallback_word, fused)``.
 
     ``prog`` None means the text does not parse as an expression; the
-    VM then calls ``eval_expr_truth`` per iteration, which reproduces
-    the bare-boolean-word fallback and error behaviour exactly.
+    VM then reproduces the bare-boolean-word fallback, or re-raises the
+    parse error, on every evaluation.  ``Interp.eval_expr_string`` and
+    ``eval_expr_truth`` cache this tuple in the bytecode LRU, so inline
+    ops and the ``expr``/``if``/loop builtins run one evaluator.
     """
     stripped = text.strip()
     fallback_word = stripped if (stripped and stripped.isalnum()) else None
@@ -623,10 +549,10 @@ def _inline_table():
 def compile_script_bytecode(parsed_commands, source, interp):
     """Compile a parsed script to a :class:`repro.tcl.bytecode.Code`.
 
-    Unlike the plan layer, bytecode is interpreter-*specific*: inline
-    ops embed the expected builtin function for their binding check,
-    and cache cells bind to the interp's frames.  ``Interp`` therefore
-    memoises these in its own ``bytecode_cache``.
+    Bytecode is interpreter-*specific*: inline ops embed the expected
+    builtin function for their binding check, and cache cells bind to
+    the interp's frames.  ``Interp`` therefore memoises these in its
+    own ``bytecode_cache``.
     """
     table = _inline_table()
     ops = []
@@ -647,7 +573,7 @@ def compile_script_bytecode(parsed_commands, source, interp):
                     first.literal_value()) is entry[0]:
                 op = entry[1](cmd, line, interp, entry[0])
         if op is None:
-            ops.append((_bc.OP_CALL, compile_command(cmd, line)))
+            ops.append(_emit_call(cmd, line))
         else:
             inline_count += 1
             ops.append(op)

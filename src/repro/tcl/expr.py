@@ -7,9 +7,11 @@ math functions; and inline ``$variable`` and ``[command]`` substitution
 (needed when expressions are passed in braces, which is the idiomatic
 form in loop conditions).
 
-The evaluator parses to a small AST first and walks it afterwards, so
-short-circuited operands are neither substituted nor executed -- Tcl's
-documented behaviour, and what makes ``expr {$i < $n && [step]}`` safe.
+This module parses to a small AST; ``repro.tcl.compile`` lowers the
+AST to a stack program that the VM (``repro.tcl.vm.run_expr``) runs,
+with jumps around short-circuited operands, so those are neither
+substituted nor executed -- Tcl's documented behaviour, and what makes
+``expr {$i < $n && [step]}`` safe.
 
 Numbers follow Tcl's reading rules: leading ``0x`` is hex, a leading
 ``0`` is octal, and anything with ``.``, ``e`` or ``E`` is a double.
@@ -410,54 +412,8 @@ _MATH_FUNCS = {
 _INT_PRESERVING = frozenset(("abs", "int", "round", "double", "pow"))
 
 
-class _Evaluator:
-    def __init__(self, env):
-        self.env = env
-
-    def eval(self, node):
-        kind = node[0]
-        if kind == "val":
-            return node[1]
-        if kind == "varref":
-            name, index_parts = node[1]
-            return self.env.substitute_var(name, index_parts)
-        if kind == "cmdref":
-            return self.env.eval_script(node[1])
-        if kind == "quoted":
-            out = []
-            for piece in node[1]:
-                if isinstance(piece, str):
-                    out.append(piece)
-                elif piece[0] == "varref":
-                    name, index_parts = piece[1]
-                    out.append(self.env.substitute_var(name, index_parts))
-                else:
-                    out.append(self.env.eval_script(piece[1]))
-            return "".join(out)
-        if kind == "unary":
-            return unary_op(node[1], self.eval(node[2]))
-        if kind == "binary":
-            return _binary(node[1], self.eval(node[2]), self.eval(node[3]))
-        if kind == "andor":
-            left = _truth(self.eval(node[2]))
-            if node[1] == "&&":
-                if not left:
-                    return 0
-                return 1 if _truth(self.eval(node[3])) else 0
-            if left:
-                return 1
-            return 1 if _truth(self.eval(node[3])) else 0
-        if kind == "ternary":
-            if _truth(self.eval(node[1])):
-                return self.eval(node[2])
-            return self.eval(node[3])
-        if kind == "func":
-            return call_math_func(node[1], [self.eval(a) for a in node[2]])
-        raise TclError("internal expr error: bad node %r" % (kind,))
-
-
 def unary_op(op, operand):
-    """Apply a unary expr operator exactly as the tree walker does."""
+    """Apply a unary expr operator (``-``, ``+``, ``!``, ``~``)."""
     if op == "-":
         return -_num(operand)
     if op == "+":
@@ -584,35 +540,22 @@ def _compare(left, right):
 # ----------------------------------------------------------------------
 # AST cache
 #
-# Wafe re-evaluates the same expression strings on every event: loop
-# conditions (`while {$i < $n}`), `if` tests in callbacks, translation
-# actions.  The AST is immutable and environment-independent (variable
-# and command references are deferred leaves resolved per evaluation),
-# so a single module-level LRU keyed by the expression text is shared
-# by every interpreter in the process.  Parse errors are *not* cached:
-# they are rare, and caching exceptions would complicate eviction for
-# no measurable win.
+# The compiler lowers every literal expr word and condition from its
+# AST, and Wafe's one-shot lines and callbacks repeat the same
+# expression texts (`if {$i < $n}`, translation actions) in scripts
+# that are compiled anew.  The AST is immutable and
+# environment-independent (variable and command references are
+# deferred leaves resolved per evaluation), so a single module-level
+# LRU keyed by the expression text is shared by every interpreter in
+# the process.  Parse errors are *not* cached: they are rare, and
+# caching exceptions would complicate eviction for no measurable win.
 
 ast_cache = LRUCache(maxsize=1024)
 
 
-def compile_expr(text, use_cache=True):
+def compile_expr(text):
     """Parse an expression to its AST, memoised on the expression text."""
-    if use_cache:
-        ast = ast_cache.get(text)
-        if ast is not None:
-            return ast
-    ast = _Parser(_Lexer(text)).parse()
-    if use_cache:
-        ast_cache.put(text, ast)
+    ast = ast_cache.get(text)
+    if ast is None:
+        ast = ast_cache.put(text, _Parser(_Lexer(text)).parse())
     return ast
-
-
-def eval_compiled_expr(ast, env):
-    """Walk an AST from :func:`compile_expr` against ``env``."""
-    return _Evaluator(env).eval(ast)
-
-
-def eval_expr(text, env, use_cache=True):
-    """Evaluate an expression string; returns a Python int/float/str."""
-    return _Evaluator(env).eval(compile_expr(text, use_cache))

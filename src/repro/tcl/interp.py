@@ -12,6 +12,7 @@ import time as _time
 
 from repro.tcl import compile as _compile
 from repro.tcl import parser as _parser
+from repro.tcl import vm as _vm
 from repro.tcl.cache import LRUCache
 from repro.tcl.errors import (
     ERRORINFO_FRAME_LIMIT,
@@ -25,10 +26,7 @@ from repro.tcl.errors import (
 from repro.tcl.expr import (
     ast_cache as _expr_ast_cache,
     compile_expr,
-    eval_compiled_expr,
-    eval_expr,
     format_number,
-    is_true,
 )
 from repro.tcl.lists import quote_element
 
@@ -129,24 +127,6 @@ def split_varname(name):
     return name, None
 
 
-class _ExprEnv:
-    """Adapter giving the expr evaluator access to interpreter state."""
-
-    __slots__ = ("interp",)
-
-    def __init__(self, interp):
-        self.interp = interp
-
-    def substitute_var(self, name, index_parts):
-        index = None
-        if index_parts is not None:
-            index = self.interp._substitute_parts(index_parts)
-        return self.interp.get_var(name, index)
-
-    def eval_script(self, script):
-        return self.interp.eval(script)
-
-
 class Interp:
     """A Tcl interpreter with all built-in commands registered.
 
@@ -154,17 +134,13 @@ class Interp:
     by calling :meth:`register`.
     """
 
-    def __init__(self, register_builtins=True, compile=True):
+    def __init__(self, register_builtins=True):
         self.commands = {}
         self.procs = {}
         self.frames = [CallFrame(0)]
         self.parse_cache = _parser.ParseCache()
-        # Production runs the bytecode VM.  ``compile=False`` selects
-        # the tree walker: per-eval word substitution and uncached expr
-        # parsing, the reference semantics the VM must match
-        # byte-for-byte (tests and benchmarks construct it; nothing in
-        # production does).
-        self.compile_enabled = bool(compile)
+        # Compiled scripts (keyed on the script text) and compiled expr
+        # conditions (keyed on ``("expr", text)``) for the bytecode VM.
         self.bytecode_cache = LRUCache(maxsize=512)
         # Inline-cache invalidation counters (see repro.tcl.vm): any
         # command-table mutation bumps ``cmds_generation``; unset/upvar
@@ -180,7 +156,6 @@ class Interp:
         # is, by object identity, the string being stored.
         self._vm_num = None
         self._vm_num_str = None
-        self._expr_env = _ExprEnv(self)
         self.cmd_count = 0
         self.recursion_limit = DEFAULT_RECURSION_LIMIT
         _ensure_python_stack(self.recursion_limit)
@@ -555,17 +530,12 @@ class Interp:
                 out.append(self.eval(payload))
         return "".join(out)
 
-    def substitute_word(self, word):
-        return self._substitute_parts(word.parts)
-
     def compile_script(self, script):
-        """The memoised ``script -> Code`` (bytecode) used by ``eval``.
+        """The memoised ``script -> Code`` (bytecode) that ``eval`` runs.
 
-        Loop commands hoist this out of their iteration: the returned
-        object's inline ops self-check their command bindings per
-        execution, so holding on to it cannot observe stale
-        ``proc``/``rename`` state.  Only meaningful with compilation
-        enabled.
+        Cached bytecode never observes stale ``proc``/``rename`` state:
+        generic commands resolve their name per dispatch and inline
+        ops self-check their command bindings per execution.
         """
         compiled = self.bytecode_cache.get(script)
         if compiled is None:
@@ -711,18 +681,7 @@ class Interp:
             self._peak_nesting = nesting + 1
         self._nesting = nesting + 1
         try:
-            if self.compile_enabled:
-                return self.compile_script(script).execute(self)
-            result = ""
-            line = 1
-            scan = 0
-            for command in self.parse_cache.get(script):
-                pos = command.pos
-                if pos > scan:
-                    line += script.count("\n", scan, pos)
-                    scan = pos
-                result = self._invoke(command, line)
-            return result
+            return self.compile_script(script).execute(self)
         except TclError as err:
             self._start_errorinfo(err, script)
             raise
@@ -743,89 +702,12 @@ class Interp:
                 self._limits_armed = False
                 self._next_check = _NO_CHECK
 
-    def eval_compiled(self, compiled):
-        """``eval`` for an already-compiled script (same guard rails)."""
-        nesting = self._nesting
-        if nesting >= self.recursion_limit:
-            raise self._recursion_error()
-        if nesting == 0:
-            if self.limit_time_ms or self.limit_commands:
-                # _arm_limits inlined: at bytecode-VM speeds a method
-                # call per top-level eval is measurable against the <5%
-                # armed-overhead budget.
-                self._next_check = self.cmd_count + _CHECK_INTERVAL
-                self._limit_fresh = True
-                self._limits_armed = True
-        else:
-            # Nested evals count as watchdog work units: an empty loop
-            # body re-enters eval every iteration without dispatching
-            # any command, and must still trip the budget.  The bump is
-            # unconditional (armed or not) so the armed hot path costs
-            # only the amortised slow-path check, and ``info cmdcount``
-            # is identical either way; unarmed, ``_next_check`` is the
-            # never-reached sentinel, so the compare never fires.
-            count = self.cmd_count + 1
-            self.cmd_count = count
-            if count >= self._next_check:
-                self._check_limits(count)
-        if nesting >= self._peak_nesting:
-            self._peak_nesting = nesting + 1
-        self._nesting = nesting + 1
-        try:
-            return compiled.execute(self)
-        except TclError as err:
-            self._start_errorinfo(err, getattr(compiled, "source", ""))
-            raise
-        except RecursionError:
-            raise self._recursion_error()
-        except TclReturn as ret:
-            if nesting == 0:
-                return ret.result
-            raise
-        except (TclBreak, TclContinue) as exc:
-            if nesting == 0:
-                raise TclError(str(exc))
-            raise
-        finally:
-            self._nesting = nesting
-            if nesting == 0:
-                self._limits_armed = False
-                self._next_check = _NO_CHECK
-
-    def script_evaluator(self, script):
-        """A zero-argument callable evaluating ``script`` each call.
-
-        The loop-body analogue of :meth:`compile_expr_truth`: with
-        compilation on, the body is compiled on the *first* call (a
-        loop that never runs must not surface a body parse error,
-        matching uncompiled evaluation) and later calls skip straight
-        to the compiled form; with compilation off, each call is a
-        plain ``eval``.
-        """
-        if not self.compile_enabled:
-            return lambda: self.eval(script)
-        memo = []
-
-        def run():
-            if not memo:
-                memo.append(self.compile_script(script))
-            return self.eval_compiled(memo[0])
-
-        return run
-
-    def _invoke(self, parsed, line=1):
-        argv = [self.substitute_word(w) for w in parsed.words]
-        if not argv or argv[0] == "":
-            return ""
-        return self.call(argv, line)
-
     def call(self, argv, line=None):
         """Invoke a command given an already-substituted argv.
 
         ``line`` is the 1-based source line of the command in the
-        script it came from (threaded by the compiled commands and the
-        uncompiled eval loop) and feeds the ``(procedure ... line N)``
-        errorInfo markers.
+        script it came from (threaded by the compiled ops) and feeds
+        the ``(procedure ... line N)`` errorInfo markers.
         """
         count = self.cmd_count + 1
         self.cmd_count = count
@@ -920,56 +802,26 @@ class Interp:
         else:
             gvars["errorCode"] = _Var(_SCALAR, code)
 
+    def _expr_cond(self, text):
+        """The compiled condition for an expr string, memoised in the
+        bytecode LRU beside the scripts."""
+        key = ("expr", text)
+        cond = self.bytecode_cache.get(key)
+        if cond is None:
+            cond = self.bytecode_cache.put(
+                key, _compile.compile_cond(text, self))
+        return cond
+
     def eval_expr_string(self, text):
         """Evaluate an expr string to its Tcl string result."""
-        return format_number(
-            eval_expr(text, self._expr_env, use_cache=self.compile_enabled))
+        prog = self._expr_cond(text)[0]
+        if prog is None:
+            compile_expr(text)  # raises the parse error
+        return format_number(_vm.run_expr(self, prog))
 
     def eval_expr_truth(self, text):
-        try:
-            value = eval_expr(text, self._expr_env,
-                              use_cache=self.compile_enabled)
-        except TclError:
-            # Bare boolean words ("yes", "off", ...) are not expr syntax
-            # but Tcl_ExprBoolean accepts them; mirror that.
-            stripped = text.strip()
-            if stripped and all(c.isalnum() for c in stripped):
-                return is_true(stripped)
-            raise
-        if isinstance(value, str):
-            return is_true(value)
-        return value != 0
-
-    def compile_expr_truth(self, text):
-        """A zero-argument truth test for ``text``, parse hoisted out.
-
-        ``while`` and ``for`` evaluate the same condition on every
-        iteration; this compiles the expression AST once and returns a
-        closure that only walks it.  Falls back to the per-call path
-        (identical semantics, including the bare-boolean-word fallback)
-        when the text does not parse or compilation is disabled.
-        """
-        if not self.compile_enabled:
-            return lambda: self.eval_expr_truth(text)
-        try:
-            ast = compile_expr(text)
-        except TclError:
-            return lambda: self.eval_expr_truth(text)
-        env = self._expr_env
-
-        def truth():
-            try:
-                value = eval_compiled_expr(ast, env)
-            except TclError:
-                stripped = text.strip()
-                if stripped and all(c.isalnum() for c in stripped):
-                    return is_true(stripped)
-                raise
-            if isinstance(value, str):
-                return is_true(value)
-            return value != 0
-
-        return truth
+        """Evaluate an expr string as a condition (Tcl_ExprBoolean)."""
+        return _vm.run_cond(self, self._expr_cond(text))
 
     # ------------------------------------------------------------------
     # Counter snapshots (the ``tcl.*`` sources of ``info stats``)
@@ -1025,10 +877,8 @@ class Interp:
         self._limit_trips.update(dict.fromkeys(self._limit_trips, 0))
 
     def vm_stats(self):
-        """The engine in use plus the bytecode compiler's op counters."""
-        stats = {"engine": "vm" if self.compile_enabled else "tree"}
-        stats.update(self._vm_stats)
-        return stats
+        """The bytecode compiler's op counters."""
+        return dict(self._vm_stats)
 
     def reset_vm_stats(self):
         self._vm_stats.update(dict.fromkeys(self._vm_stats, 0))

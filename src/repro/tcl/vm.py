@@ -1,23 +1,25 @@
 """The bytecode VM: dispatch loop with inline caches.
 
 ``run`` executes a :class:`repro.tcl.bytecode.Code` object against an
-interpreter.  The design constraint is *semantic invisibility*: the VM
-must be byte-identical to the tree walker (``Interp(compile=False)``)
-on results, errorInfo tracebacks, errorCode, variable traces, and the
-watchdog's work-unit accounting (tests/test_tcl_vm_differential.py
-pins all of this).  Every fast path therefore mirrors a specific slow
-path line-for-line:
+interpreter; it is the only way ``Interp.eval`` runs a script, and
+``run_expr``/``run_cond`` are the only expression evaluator.  The
+design constraint is *semantic invisibility*: the VM must be
+byte-identical to the tree walker (``TreeInterp`` in
+``tests/oracles/tcl.py``) on results, errorInfo tracebacks, errorCode,
+variable traces, and the watchdog's work-unit accounting
+(tests/test_tcl_vm_differential.py pins all of this).  Every fast path
+therefore mirrors a specific slow path line-for-line:
 
 * command dispatch of an inlined statement costs exactly one
   ``cmd_count`` bump plus the same single ``count >= _next_check``
   compare that ``Interp.call`` does;
 * nested block entry (loop bodies, ``if`` arms) mirrors the nested
-  branch of ``Interp.eval_compiled``: recursion check, unconditional
-  work unit, peak-nesting update, ``_start_errorinfo`` on error;
+  branch of ``Interp.eval``: recursion check, unconditional work unit,
+  peak-nesting update, ``_start_errorinfo`` on error;
 * any condition the fast path cannot prove (variable has traces, is an
   array or link, value is not cached, command was renamed) falls back
-  to the real command dispatch via ``Interp.call`` -- never to a
-  reimplementation.
+  to the op's ``OP_CALL``, i.e. real command dispatch via
+  ``Interp.call`` -- never to a reimplementation.
 
 Inline-cache validity (see bytecode.py for cell layout): a command
 binding is valid while ``interp.cmds_generation`` is unchanged, and is
@@ -88,6 +90,7 @@ from repro.tcl.expr import (
     _binary,
     _truth,
     call_math_func,
+    compile_expr,
     format_number,
     is_true,
     unary_op,
@@ -156,6 +159,22 @@ def _word(interp, word):
     return interp._substitute_parts(word[1])
 
 
+def _call(interp, op):
+    """Dispatch an ``OP_CALL``: its literal argv, or its words.
+
+    The literal argv is copied so a command implementation that
+    mutates its argv cannot corrupt the cached op; the command *name*
+    is re-resolved inside ``Interp.call`` on every dispatch.
+    """
+    argv = op[1]
+    if argv is not None:
+        return interp.call(list(argv), op[3])
+    argv = [_word(interp, word) for word in op[2]]
+    if argv[0] == "":
+        return ""
+    return interp.call(argv, op[3])
+
+
 def _firewall(interp, cmdname, exc, text, line):
     """Convert a Python exception exactly as ``Interp.call`` would."""
     interp.firewall_catches += 1
@@ -170,7 +189,7 @@ def _firewall(interp, cmdname, exc, text, line):
 # Nested block execution (loop bodies, if arms, [cmd] words)
 
 def _run_block(interp, code):
-    """Run a nested Code block; mirrors the nested path of eval_compiled."""
+    """Run a nested Code block; mirrors the nested path of ``Interp.eval``."""
     nesting = interp._nesting
     if nesting >= interp.recursion_limit:
         raise interp._recursion_error()
@@ -345,12 +364,12 @@ def run_expr(interp, prog):
     return stack[-1]
 
 
-def _cond(interp, cond):
-    """Evaluate a compiled condition to a truth value.
+def run_cond(interp, cond):
+    """Evaluate a compiled condition (``compile_cond``) to a truth value.
 
-    Mirrors ``Interp.eval_expr_truth`` / ``compile_expr_truth``:
-    identical bare-boolean-word fallback on TclError, identical string
-    coercion of the result.
+    Tcl_ExprBoolean's rules: a bare boolean word (``yes``, ``off``,
+    ...) that is not expr syntax is accepted on TclError, and a string
+    result is coerced with ``is_true``.
     """
     fused = cond[3]
     if fused is not None:
@@ -376,7 +395,9 @@ def _cond(interp, cond):
                 return a != const
     prog = cond[0]
     if prog is None:
-        return interp.eval_expr_truth(cond[1])
+        if cond[2] is not None:
+            return is_true(cond[2])
+        compile_expr(cond[1])  # raises the parse error
     try:
         value = run_expr(interp, prog)
     except TclError:
@@ -402,7 +423,7 @@ def run(interp, code):
         kind = op[0]
 
         if kind == OP_CALL:
-            result = op[1].execute(interp)
+            result = _call(interp, op)
             continue
 
         if kind == OP_INCR:
@@ -412,7 +433,7 @@ def run(interp, code):
                     cell[0] = interp.cmds_generation
                 else:
                     interp._vm_stats["deopts"] += 1
-                    result = fallback.execute(interp)
+                    result = _call(interp, fallback)
                     continue
             if dconst is not None:
                 delta = dconst
@@ -480,7 +501,7 @@ def run(interp, code):
                     cell[0] = interp.cmds_generation
                 else:
                     interp._vm_stats["deopts"] += 1
-                    result = fallback.execute(interp)
+                    result = _call(interp, fallback)
                     continue
             if word[0] == W_CONST:
                 value = word[1]
@@ -515,7 +536,7 @@ def run(interp, code):
                     cell[0] = interp.cmds_generation
                 else:
                     interp._vm_stats["deopts"] += 1
-                    result = fallback.execute(interp)
+                    result = _call(interp, fallback)
                     continue
             if cell[2] is frames[-1] and cell[1] == interp.var_epoch:
                 var = cell[3]
@@ -538,7 +559,7 @@ def run(interp, code):
                     cell[0] = interp.cmds_generation
                 else:
                     interp._vm_stats["deopts"] += 1
-                    result = fallback.execute(interp)
+                    result = _call(interp, fallback)
                     continue
             count = interp.cmd_count + 1
             interp.cmd_count = count
@@ -574,7 +595,7 @@ def run(interp, code):
                     cell[0] = interp.cmds_generation
                 else:
                     interp._vm_stats["deopts"] += 1
-                    result = fallback.execute(interp)
+                    result = _call(interp, fallback)
                     continue
             count = interp.cmd_count + 1
             interp.cmd_count = count
@@ -583,7 +604,7 @@ def run(interp, code):
             try:
                 result = ""
                 for cond, body in clauses:
-                    if _cond(interp, cond):
+                    if run_cond(interp, cond):
                         result = _run_block(interp, body)
                         break
                 else:
@@ -607,7 +628,7 @@ def run(interp, code):
                     cell[0] = interp.cmds_generation
                 else:
                     interp._vm_stats["deopts"] += 1
-                    result = fallback.execute(interp)
+                    result = _call(interp, fallback)
                     continue
             count = interp.cmd_count + 1
             interp.cmd_count = count
@@ -619,7 +640,7 @@ def run(interp, code):
                 nesting1 = interp._nesting
                 rlimit = interp.recursion_limit
                 body_source = body.source
-                while _cond(interp, cond):
+                while run_cond(interp, cond):
                     # Inlined _run_block for the loop body.
                     if nesting1 >= rlimit:
                         raise interp._recursion_error()
@@ -663,7 +684,7 @@ def run(interp, code):
                     cell[0] = interp.cmds_generation
                 else:
                     interp._vm_stats["deopts"] += 1
-                    result = fallback.execute(interp)
+                    result = _call(interp, fallback)
                     continue
             count = interp.cmd_count + 1
             interp.cmd_count = count
@@ -699,7 +720,7 @@ def run(interp, code):
                     done = _for_fused(interp, op, nesting1, rlimit)
 
                 if not done:
-                    while _cond(interp, cond):
+                    while run_cond(interp, cond):
                         # Body block.
                         if nesting1 >= rlimit:
                             raise interp._recursion_error()
@@ -763,7 +784,7 @@ def run(interp, code):
                     cell[0] = interp.cmds_generation
                 else:
                     interp._vm_stats["deopts"] += 1
-                    result = fallback.execute(interp)
+                    result = _call(interp, fallback)
                     continue
             if items is None:
                 list_value = _word(interp, list_word)

@@ -4,6 +4,8 @@ Each layer of ``src/repro`` has exactly one production path.  The
 simpler, slower specifications those paths replaced live here, where
 only tests and benchmarks construct them:
 
+* :mod:`tests.oracles.tcl` -- the tree walker (``TreeInterp``)
+  behind the bytecode VM;
 * :mod:`tests.oracles.region` -- the rect-list region
   (``NaiveRegion``) behind the band :class:`repro.xlib.region.Region`;
 * :mod:`tests.oracles.xrm` -- the linear-scan resource matcher
@@ -12,7 +14,4 @@ only tests and benchmarks construct them:
   (``SelectEventCore``) behind the ``selectors`` event core;
 * :mod:`tests.oracles.render` -- the full repaint every damage-driven
   checkpoint must match byte for byte.
-
-The Tcl tree walker stays in ``repro.tcl.interp`` because it is the
-uncompiled evaluation path itself: ``Interp(compile=False)``.
 """

@@ -28,6 +28,8 @@ from repro.core import make_wafe
 from repro.core.frontend import Frontend
 from repro.core.safemode import SAFE_HIDDEN_COMMANDS
 
+from tests.oracles.tcl import TreeInterp
+
 
 @pytest.fixture
 def tcl():
@@ -92,7 +94,7 @@ class TestWatchdog:
             tcl.eval("catch {while 1 {}}")
 
     def test_uncompiled_path_trips_too(self):
-        tcl = Interp(compile=False)
+        tcl = TreeInterp()
         tcl.set_eval_limits(time_ms=100)
         with pytest.raises(TclLimitError):
             tcl.eval("while 1 {}")
@@ -305,7 +307,7 @@ class TestErrorInfo:
 
     def test_compiled_and_uncompiled_tracebacks_agree(self):
         compiled = Interp()
-        reference = Interp(compile=False)
+        reference = TreeInterp()
         for tcl in (compiled, reference):
             with pytest.raises(TclError):
                 tcl.eval(self.SCRIPT)

@@ -129,7 +129,7 @@ class TestInfoStats:
         keys = string_to_list(ctx.info_stats())[::2]
         assert keys == sorted(keys)
         ctx.interp.eval("array set s [info stats]")
-        assert ctx.interp.eval("set s(tcl.vm.engine)") == "vm"
+        assert ctx.interp.eval("info exists s(tcl.vm.scripts)") == "1"
 
     @pytest.mark.parametrize("pattern", ["*.hits", "tcl.eval.*", "xt.*",
                                          "*render*pixels", "nomatch"])

@@ -4,21 +4,23 @@ The compiled fast paths must be semantically invisible: command names
 resolve at call time (so ``proc`` redefinition, ``rename`` and the
 ``unknown`` fallback behave identically for cached scripts), variable
 traces fire the same, errorInfo is built the same, and the tree
-walker (``compile=False``, the reference semantics) gives
-byte-identical results.
+walker (``TreeInterp`` from tests/oracles/tcl.py, the reference
+semantics) gives byte-identical results.
 """
 
 import pytest
 
 from repro.tcl import Interp, LRUCache, TclError
 from repro.tcl import expr as tcl_expr
-from repro.tcl.bytecode import Code
-from repro.tcl.compile import _DynamicCommand, _LiteralCommand, compile_command
+from repro.tcl.bytecode import OP_CALL, W_CONST, W_VAR, Code
+from repro.tcl.compile import _emit_call
 from repro.tcl.parser import ParseCache, parse_script
+
+from tests.oracles.tcl import TreeInterp
 
 
 def both_interps():
-    return Interp(compile=True), Interp(compile=False)
+    return Interp(), TreeInterp()
 
 
 # ----------------------------------------------------------------------
@@ -154,16 +156,16 @@ class TestEquivalence:
             reference.eval("return early") == "early"
 
     def test_escape_hatch_disables_compile_cache(self):
-        interp = Interp(compile=False)
+        interp = TreeInterp()
         interp.eval("set x 1")
         interp.eval("set x 1")
         assert len(interp.bytecode_cache) == 0
 
     def test_escape_hatch_bypasses_expr_ast_cache(self):
-        # ``compile=False`` must be a *full* escape hatch: expr strings
+        # The oracle must be a *full* reference: expr strings
         # are reparsed on every evaluation, never served from the
         # process-wide AST cache.
-        interp = Interp(compile=False)
+        interp = TreeInterp()
         tcl_expr.ast_cache.reset_stats()
         interp.eval("expr {5 + [string length abcdef]}")
         interp.eval("expr {5 + [string length abcdef]}")
@@ -223,7 +225,7 @@ class TestCacheStats:
         assert after["hits"] >= before["hits"] + 2
 
     def test_tree_walker_parse_counters_move_on_repeat_eval(self):
-        interp = Interp(compile=False)
+        interp = TreeInterp()
         interp.eval("info stats tcl.parse.* -reset")
         script = "set y 42"
         interp.eval(script)
@@ -258,14 +260,15 @@ class TestCacheStats:
 
     def test_expr_cache_hits(self):
         # The VM lowers literal expr words to its own bytecode; an expr
-        # whose text is only known at run time goes through the
-        # process-wide AST cache.
+        # whose text is only known at run time is compiled once, then
+        # served from the bytecode cache under ("expr", text).
         interp = Interp()
         interp.eval("set e {21 * 2}")
-        tcl_expr.ast_cache.reset_stats()
         interp.eval("expr $e")
+        assert ("expr", "21 * 2") in interp.bytecode_cache
+        hits = interp.bytecode_cache.hits
         interp.eval("expr $e")
-        assert tcl_expr.ast_cache.hits >= 1
+        assert interp.bytecode_cache.hits == hits + 2  # script + expr
 
     def test_clear_caches(self):
         interp = Interp()
@@ -340,13 +343,13 @@ class TestLRUCache:
 
 class TestCompiledForms:
     def test_literal_command_precomputes_argv(self):
-        command = compile_command(parse_script("set alpha beta")[0])
-        assert isinstance(command, _LiteralCommand)
-        assert command.argv == ("set", "alpha", "beta")
+        op = _emit_call(parse_script("set alpha beta")[0], 1)
+        assert op == (OP_CALL, ("set", "alpha", "beta"), None, 1)
 
-    def test_mixed_command_gets_plan(self):
-        command = compile_command(parse_script("set alpha $beta")[0])
-        assert isinstance(command, _DynamicCommand)
+    def test_mixed_command_carries_words(self):
+        op = _emit_call(parse_script("set alpha $beta")[0], 1)
+        assert op[1] is None
+        assert [word[0] for word in op[2]] == [W_CONST, W_CONST, W_VAR]
 
     def test_literal_argv_not_shared_between_calls(self):
         interp = Interp()
@@ -367,3 +370,50 @@ class TestCompiledForms:
         assert isinstance(compiled, Code)
         assert compiled.execute(interp) == "2"
         assert compiled.execute(interp) == "4"
+
+
+# ----------------------------------------------------------------------
+# info bytecode disassemble
+
+
+class TestDisassembler:
+    SCRIPT = (
+        "puts $msg [string length abc]\n"
+        "set x [llength {a b}]\n"
+        "if {$x > 1} {set y big} else {set y small}\n"
+        "while {$x < 4} {incr x}\n"
+        "expr {$x * 2}"
+    )
+
+    LISTING = "\n".join([
+        "bytecode for 'puts $msg [string length abc]\\\\nset x "
+        "[llength {a b}]\\\\nif ...' (4 inline, 1 generic)",
+        "  0  call     const 'puts', $msg, [string length abc]",
+        "  1  set      x <- [<code 1 ops>]",
+        "      0  call     const 'llength', const 'a b'",
+        "  2  if",
+        "    cond '$x > 1' [fused]",
+        "          0  load    $x",
+        "          1  const   1",
+        "          2  gt",
+        "          0  set      y <- const 'big'",
+        "    else",
+        "          0  set      y <- const 'small'",
+        "  3  while",
+        "    cond '$x < 4' [fused]",
+        "          0  load    $x",
+        "          1  const   4",
+        "          2  lt",
+        "      0  incr     x by 1",
+        "  4  expr     'expr $x * 2'",
+        "      0  load    $x",
+        "      1  const   2",
+        "      2  mul",
+    ])
+
+    def test_listing_is_fixed_across_interpreters(self):
+        listings = [
+            Interp().eval(
+                "info bytecode disassemble {%s}" % self.SCRIPT)
+            for __ in range(2)]
+        assert listings == [self.LISTING, self.LISTING]

@@ -1,7 +1,8 @@
 """Differential fuzzing: the bytecode VM against the executable spec.
 
-The tree-walker (``Interp(compile=False)``) is the reference semantics;
-the bytecode VM (``compile=True``, the production engine) must be
+The tree-walker (``TreeInterp`` from tests/oracles/tcl.py) is the
+reference semantics; the bytecode VM (``Interp``, the production
+engine) must be
 observationally identical to it -- same
 results, same error messages, byte-identical ``errorInfo`` tracebacks,
 same ``errorCode``, the same work-unit accounting (``info cmdcount``,
@@ -22,12 +23,13 @@ import pytest
 from repro.tcl import Interp
 from repro.tcl.errors import TclError, TclLimitError
 
+from tests.oracles.tcl import TreeInterp
 from tests.test_tcl_compile import EQUIVALENCE_SCRIPTS
 
-#: Interp configurations under test; the tree-walker defines truth.
+#: Interpreter classes under test; the tree-walker defines truth.
 ENGINES = (
-    {"compile": False},
-    {"compile": True},
+    TreeInterp,
+    Interp,
 )
 ENGINE_IDS = ("tree", "vm")
 
@@ -38,7 +40,7 @@ def snapshot(engine, script, rounds=2, commands=None, prelude=None):
     Round 2 exercises the cached/compiled path, which is where inline
     caches (and their invalidation bugs) live.
     """
-    interp = Interp(**engine)
+    interp = engine()
     if prelude:
         interp.eval(prelude)
     if commands:
@@ -129,6 +131,15 @@ HOSTILE_SCRIPTS = [
     "set s scalar\nset s(k) v",
     "set i 0\nwhile {$i < 5} {incr i\nif {$i == 3} {unset i}}",
     "for {set i 0} {$i < 5} {incr i} {if {$i == 2} {unset i}}",
+    # Loop bodies that fail to parse, held in a variable so the loop
+    # runs through its builtin: the traceback keeps the body's own
+    # "while executing" frame and the body entry counts as a work unit.
+    "set b {set x [}; foreach i {1 2} $b",
+    "set b {set x [}; set c 1; while $c $b",
+    "set b {set x [}; for {set i 0} {$i < 2} {incr i} $b",
+    "proc p {b} {foreach i {1 2} $b}\np {set x [}",
+    "proc p {b} {set c 1; while $c $b}\np {set x [}",
+    "proc p {b} {for {set i 0} {$i < 2} {incr i} $b}\np {set x [}",
 ]
 
 
@@ -214,7 +225,7 @@ class TestMidFlightMutation:
         assert_engines_agree(script, rounds=3)
 
     def test_hidden_command_fails_identically(self):
-        interps = [Interp(**e) for e in ENGINES]
+        interps = [engine() for engine in ENGINES]
         outcomes = []
         for interp in interps:
             interp.eval("set x 1")           # warm caches on `set`
@@ -347,4 +358,89 @@ class TestRandomizedDifferential:
     def test_random_script_under_tight_budget(self, seed):
         rng = random.Random(9000 + seed)
         script = _gen_script(rng)
+        assert_engines_agree(script, commands=50 + seed * 17)
+
+
+# ----------------------------------------------------------------------
+# Corpus 5: seeded random scripts through the builtin fallback paths
+#
+# Corpus 4's loops and conditions are braced literals, which the VM
+# always inlines.  Here bodies, conditions and expressions are only
+# known at run time, so `while`/`for`/`foreach`/`if`/`expr` reach their
+# builtins through OP_CALL and evaluate via `Interp.eval` and the
+# cached expr programs.
+
+
+#: Bodies that do not parse; each keeps its braces balanced so it can
+#: sit inside a braced word of the generated script.
+_BAD_BODIES = ["set x [", 'set z "', "set w [list a {b}", 'puts "[incr a"']
+
+
+def _gen_fallback_stmt(rng, depth=0):
+    roll = rng.random()
+    var = rng.choice(_VARS)
+    if roll < 0.45 and depth < 2:
+        # A loop body held in a variable.
+        body = _gen_fallback_block(rng, depth + 1)
+        loop = rng.choice([
+            "while {$%s < %d} $bd" % (var, rng.randint(1, 6)),
+            "for {set %s 0} {$%s < %d} {incr %s} $bd" % (
+                var, var, rng.randint(1, 6), var),
+            "foreach %s {%s} $bd" % (var, " ".join(
+                str(rng.randint(0, 9)) for __ in range(rng.randint(0, 3)))),
+        ])
+        return "set bd {%s}\n%s" % (body, loop)
+    if roll < 0.6 and depth < 2:
+        # A quoted condition: substituted per evaluation of the word.
+        cond = '"\\$%s %s $lim"' % (var, rng.choice(["<", ">", "!=", "<="]))
+        body = _gen_fallback_block(rng, depth + 1)
+        if rng.random() < 0.5:
+            return "while %s {\n%s\nincr %s\n}" % (cond, body, var)
+        return "if %s {\n%s\n}" % (cond, body)
+    if roll < 0.85:
+        # A generated expression held in a variable.
+        if rng.random() < 0.5 or depth >= 2:
+            return "set e {%s}\nset %s [expr $e]" % (_gen_expr(rng), var)
+        return "set e {%s}\nif $e {\n%s\n} else {\n%s\n}" % (
+            _gen_expr(rng), _gen_fallback_block(rng, depth + 1),
+            _gen_fallback_block(rng, depth + 1))
+    # An unparseable body: the error, its traceback and its work units
+    # must match.
+    bad = rng.choice(_BAD_BODIES)
+    user = rng.choice([
+        "foreach %s {1 2} $bad" % var,
+        "while {$%s < 3} $bad" % var,
+        "for {set %s 0} {$%s < 2} {incr %s} $bad" % (var, var, var),
+        "if {$%s} $bad" % var,
+        "expr $bad",
+    ])
+    return "set bad {%s}\ncatch {%s} msg" % (bad, user)
+
+
+def _gen_fallback_block(rng, depth):
+    return "\n".join(
+        (_gen_fallback_stmt if rng.random() < 0.5 else _gen_stmt)(
+            rng, depth)
+        for __ in range(rng.randint(1, 3)))
+
+
+def _gen_fallback_script(rng):
+    lines = ["set %s %d" % (v, rng.randint(0, 9)) for v in _VARS]
+    lines.append("set lim %d" % rng.randint(1, 6))
+    lines += [_gen_fallback_stmt(rng) for __ in range(rng.randint(3, 6))]
+    lines.append("list $a $b $c $d [info cmdcount]")
+    return "\n".join(lines)
+
+
+class TestRandomizedFallbackDifferential:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_script_engines_agree(self, seed):
+        rng = random.Random(7000 + seed)
+        script = _gen_fallback_script(rng)
+        assert_engines_agree(script, commands=20000)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_script_under_tight_budget(self, seed):
+        rng = random.Random(7500 + seed)
+        script = _gen_fallback_script(rng)
         assert_engines_agree(script, commands=50 + seed * 17)
