@@ -116,9 +116,9 @@ _SPEEDUPS = {}
 
 
 def test_compile_layer_speedup():
-    """The tentpole claim: the bytecode VM (inline caches, fused loops,
-    integer shadows) gives >= 10x ops/sec on loop/expr workloads over
-    the tree walker (tests/oracles/tcl.py)."""
+    """The tentpole claim: the bytecode VM (inline caches, integer
+    shadows) gives >= 10x ops/sec on loop/expr workloads over the tree
+    walker (tests/oracles/tcl.py)."""
     from repro.tcl import Interp
     from tests.oracles.tcl import TreeInterp
 

@@ -217,11 +217,3 @@ def emit_reference(specs, source="spec"):
         "",
     ])
     return "\n".join(lines)
-
-
-def generation_stats(specs, generated_source):
-    """Line statistics for the paper's 60 %-generated claim."""
-    return {
-        "commands": len(specs),
-        "generated_lines": len(generated_source.splitlines()),
-    }

@@ -43,12 +43,6 @@ class SpecRegistry:
     # ------------------------------------------------------------------
     # Queries
 
-    def command_names(self):
-        """Every spec-derived command name (functions + creations)."""
-        names = set(self.functions)
-        names.update(self.creations)
-        return names
-
     def __contains__(self, name):
         return name in self.functions or name in self.creations
 

@@ -70,10 +70,6 @@ class FunctionSpec:
         self.doc = doc
 
     @property
-    def in_args(self):
-        return [a for a in self.arguments if a.direction == "in"]
-
-    @property
     def out_args(self):
         return [a for a in self.arguments if a.direction == "out"]
 

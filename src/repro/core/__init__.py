@@ -19,7 +19,6 @@ from repro.core.modes import (
     make_wafe,
     run_file,
     run_frontend,
-    run_string,
 )
 
 __all__ = [
@@ -29,5 +28,4 @@ __all__ = [
     "make_wafe",
     "run_file",
     "run_frontend",
-    "run_string",
 ]

@@ -105,9 +105,6 @@ class LineParser:
         """Feed raw bytes; returns [("command"|"output", text), ...]."""
         return [self.classify(line) for line in self.split_lines(data)]
 
-    def pending_bytes(self):
-        return len(self._buffer)
-
 
 class LineChannel:
     """One endpoint of the line protocol, over a transport.

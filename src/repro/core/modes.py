@@ -51,14 +51,6 @@ def _report_lint(wafe, path, script):
     return diagnostics
 
 
-def run_string(wafe, script, main_loop=False, max_idle=None):
-    """Evaluate a script string (used by tests and the -e option)."""
-    result = wafe.run_script(script)
-    if main_loop and not wafe.quit_requested:
-        wafe.main_loop(until=lambda: wafe.quit_requested, max_idle=max_idle)
-    return result
-
-
 class InteractiveSession:
     """Interactive mode: stdin lines in, results out.
 

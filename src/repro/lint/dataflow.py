@@ -36,24 +36,6 @@ class Problem:
 
     direction = FORWARD
 
-    def boundary(self):
-        raise NotImplementedError
-
-    def initial(self):
-        raise NotImplementedError
-
-    def join(self, a, b):
-        raise NotImplementedError
-
-    def equals(self, a, b):
-        raise NotImplementedError
-
-    def copy(self, state):
-        raise NotImplementedError
-
-    def transfer(self, stmt, state):
-        raise NotImplementedError
-
 
 def _block_transfer(problem, block, state):
     stmts = block.stmts

@@ -29,7 +29,7 @@ import ast
 import re
 
 #: Methods whose first string argument is a Wafe/Tcl script.
-SCRIPT_CALLS = frozenset(("run_script", "run_string", "run_command_line"))
+SCRIPT_CALLS = frozenset(("run_script", "run_command_line"))
 
 #: Additionally harvested with ``--harvest-eval``: raw interpreter
 #: evals, common in tests.  Off by default because test corpora are

@@ -149,9 +149,6 @@ class Knowledge:
     # ------------------------------------------------------------------
     # Widget classes and resources
 
-    def widget_class(self, class_name):
-        return self.classes.get(class_name)
-
     def resource_map(self, class_name):
         klass = self.classes.get(class_name)
         return klass.class_resource_map() if klass is not None else None

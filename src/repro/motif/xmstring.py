@@ -42,9 +42,6 @@ class FontList:
     def font(self, tag):
         return self._by_tag.get(tag)
 
-    def has_tag(self, tag):
-        return tag in self._by_tag
-
     def tags(self):
         return [tag for tag, __ in self.entries]
 

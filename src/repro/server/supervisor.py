@@ -58,6 +58,3 @@ class SessionSupervisor:
                         "%d commands"
                         % (sid, kind, ": " + detail if detail else "",
                            int(lifetime_ms), commands_run))
-
-    def total_ended(self):
-        return sum(self.ended.values())

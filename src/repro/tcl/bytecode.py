@@ -37,8 +37,8 @@ OP_SETRD = 2     # (OP_SETRD, cell, name, line, fallback, func)
 OP_INCR = 3      # (OP_INCR, cell, name, dconst, dword, dlit, line, fb, func)
 OP_IF = 4        # (OP_IF, cell, clauses, else_code, text, line, fb, func)
 OP_WHILE = 5     # (OP_WHILE, cell, cond, body, text, line, fb, func)
-OP_FOR = 6       # (OP_FOR, cell, start, cond, next, body, fuse, text,
-                 #  line, fb, func)
+OP_FOR = 6       # (OP_FOR, cell, start, cond, next, body, text, line,
+                 #  fb, func)
 OP_FOREACH = 7   # (OP_FOREACH, cell, name, items, word, body, text,
                  #  line, fb, func)
 OP_EXPR = 8      # (OP_EXPR, cell, prog, text, line, fb, func)
@@ -262,8 +262,7 @@ def disassemble(code, indent=0):
             lines.append(_describe_cond(op[2], indent + 1))
             lines.append(disassemble(op[3], indent + 1))
         elif kind == OP_FOR:
-            lines.append("%s%3d  for%s" % (
-                pad, i, " [fused range]" if op[6] is not None else ""))
+            lines.append("%s%3d  for" % (pad, i))
             lines.append(disassemble(op[2], indent + 1))
             lines.append(_describe_cond(op[3], indent + 1))
             lines.append(disassemble(op[4], indent + 1))

@@ -499,10 +499,6 @@ def cmd_trace(interp, argv):
         'bad option "%s": should be variable, vdelete, or vinfo' % option)
 
 
-def cmd_unknown_default(interp, argv):
-    raise TclError('invalid command name "%s"' % argv[1])
-
-
 def register(interp):
     interp.register("set", cmd_set)
     interp.register("unset", cmd_unset)

@@ -93,8 +93,14 @@ def cmd_info(interp, argv):
         if len(argv) != 4 or argv[2] != "disassemble":
             _wrong_args("info bytecode disassemble script")
         parsed = interp.parse_cache.get(argv[3])
-        return disassemble(
-            compile_script_bytecode(parsed, argv[3], interp))
+        # The listing explains the tcl.vm ledger, so its own compile
+        # must not count in it.
+        counts = dict(interp._vm_stats)
+        try:
+            code = compile_script_bytecode(parsed, argv[3], interp)
+        finally:
+            interp._vm_stats.update(counts)
+        return disassemble(code)
     if option == "hidden":
         # Safe-Tcl introspection: the commands hidden from this
         # interpreter (``interp hidden`` in real Tcl).

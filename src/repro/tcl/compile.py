@@ -274,38 +274,10 @@ def _emit_for(cmd, line, interp, func):
     if start_code is None or next_code is None or body_code is None:
         return None
     cond = compile_cond(argv[2], interp)
-    fuse = _detect_for_fuse(start_code, cond, next_code)
     fallback = _emit_call(cmd, line)
     text = " ".join(argv)[:150]
     return (_bc.OP_FOR, _bc.new_cell(), start_code, cond, next_code,
-            body_code, fuse, text, line, fallback, func)
-
-
-def _detect_for_fuse(start_code, cond, next_code):
-    """Recognise the integer-range ``for`` shape for the fused loop.
-
-    Requires: start is a single ``set var <intconst>``, the condition
-    is fused (``$var <cmp> intconst`` on the same variable), and next
-    is a single constant-delta ``incr`` of the same variable.  The
-    returned tuple shares the condition's E_LOAD cell so the fused
-    loop's variable checks and the generic condition agree.
-    """
-    fused_cond = cond[3]
-    if fused_cond is None:
-        return None
-    name = fused_cond[1]
-    if len(start_code.ops) != 1 or len(next_code.ops) != 1:
-        return None
-    start_op = start_code.ops[0]
-    if (start_op[0] != _bc.OP_SET or start_op[2] != name
-            or start_op[3][0] != _bc.W_CONST or start_op[3][2] is None):
-        return None
-    next_op = next_code.ops[0]
-    if (next_op[0] != _bc.OP_INCR or next_op[2] != name
-            or next_op[3] is None):
-        return None
-    return (fused_cond[0], name, fused_cond[2], fused_cond[3],
-            next_op[3], next_op[8])
+            body_code, text, line, fallback, func)
 
 
 def _emit_foreach(cmd, line, interp, func):
@@ -366,11 +338,14 @@ _CMP_FROM_E = {
 def compile_cond(text, interp):
     """A condition tuple ``(prog, text, fallback_word, fused)``.
 
-    ``prog`` None means the text does not parse as an expression; the
-    VM then reproduces the bare-boolean-word fallback, or re-raises the
-    parse error, on every evaluation.  ``Interp.eval_expr_string`` and
-    ``eval_expr_truth`` cache this tuple in the bytecode LRU, so inline
-    ops and the ``expr``/``if``/loop builtins run one evaluator.
+    ``fused`` is ``(cell, cmp, intconst)`` when the condition is
+    ``$var <cmp> intconst``: ``run_cond`` then compares the variable's
+    cached integer directly.  ``prog`` None means the text does not
+    parse as an expression; the VM then reproduces the bare-boolean-word
+    fallback, or re-raises the parse error, on every evaluation.
+    ``Interp.eval_expr_string`` and ``eval_expr_truth`` cache this tuple
+    in the bytecode LRU, so inline ops and the ``expr``/``if``/loop
+    builtins run one evaluator.
     """
     stripped = text.strip()
     fallback_word = stripped if (stripped and stripped.isalnum()) else None
@@ -384,18 +359,21 @@ def compile_cond(text, interp):
             and prog[1][0] == _bc.E_CONST and type(prog[1][1]) is int):
         cmp = _CMP_FROM_E.get(prog[2][0])
         if cmp is not None:
-            fused = (prog[0][1], prog[0][2], cmp, prog[1][1])
+            fused = (prog[0][1], cmp, prog[1][1])
     return (prog, text, fallback_word, fused)
 
 
 def _fold_expr(node):
     """Compile-time constant folding over the expr AST.
 
-    Folds only when the operation succeeds; a folding error keeps the
-    node so the identical TclError is raised at run time (``1/0`` must
-    fail per evaluation, not at compile).  Short-circuit folding keeps
-    the lazy semantics: a constant-false ``&&`` left arm drops the
-    right arm entirely, just as the walker never evaluates it.
+    Folds only when the operation succeeds; any folding error keeps the
+    node so evaluation fails at run time exactly as the tree walker
+    does: ``1/0`` must fail per evaluation, not at compile, and a
+    Python fault such as the OverflowError of ``1<<(1<<70)`` must reach
+    the inline op's firewall, and only if that branch runs.
+    Short-circuit folding keeps the lazy semantics: a constant-false
+    ``&&`` left arm drops the right arm entirely, just as the walker
+    never evaluates it.
     """
     kind = node[0]
     if kind == "unary":
@@ -403,7 +381,7 @@ def _fold_expr(node):
         if a[0] == "val":
             try:
                 return ("val", unary_op(node[1], a[1]))
-            except TclError:
+            except Exception:  # noqa: BLE001
                 pass
         return ("unary", node[1], a)
     if kind == "binary":
@@ -412,7 +390,7 @@ def _fold_expr(node):
         if a[0] == "val" and b[0] == "val":
             try:
                 return ("val", _binary(node[1], a[1], b[1]))
-            except TclError:
+            except Exception:  # noqa: BLE001
                 pass
         return ("binary", node[1], a, b)
     if kind == "andor":
@@ -450,7 +428,7 @@ def _fold_expr(node):
             try:
                 return ("val", call_math_func(
                     node[1], [arg[1] for arg in args]))
-            except TclError:
+            except Exception:  # noqa: BLE001
                 pass
         return ("func", node[1], args)
     if kind == "quoted":

@@ -222,11 +222,6 @@ class Interp:
         self.cmds_generation += 1
         self.commands[name] = func
 
-    def unregister(self, name):
-        self.cmds_generation += 1
-        self.commands.pop(name, None)
-        self.procs.pop(name, None)
-
     def rename(self, old, new):
         self.cmds_generation += 1
         if old not in self.commands:
@@ -571,18 +566,6 @@ class Interp:
                 raise TclError("command limit must be non-negative")
             self.limit_commands = commands
 
-    def _arm_limits(self):
-        # Arming runs per top-level eval, so it must stay cheap (at
-        # bytecode-VM dispatch rates it is a measurable fraction of a
-        # short callback): three attribute writes.  The command ceiling
-        # and the wall-clock deadline are derived lazily on the first
-        # slow-path check -- the arm-time count is recoverable there as
-        # ``_next_check - _CHECK_INTERVAL``, and a short script that
-        # never reaches a check never pays for either.
-        self._next_check = self.cmd_count + _CHECK_INTERVAL
-        self._limit_fresh = True
-        self._limits_armed = True
-
     def _disarm_limits(self):
         self._limits_armed = False
         self._next_check = _NO_CHECK
@@ -659,9 +642,13 @@ class Interp:
             raise self._recursion_error()
         if nesting == 0:
             if self.limit_time_ms or self.limit_commands:
-                # _arm_limits inlined: at bytecode-VM speeds a method
-                # call per top-level eval is measurable against the <5%
-                # armed-overhead budget.
+                # Arm the watchdog: three attribute writes, inline, as
+                # a method call per top-level eval is measurable at VM
+                # speeds against the <5% armed-overhead budget.  The
+                # command ceiling and the deadline are derived lazily on
+                # the first slow-path check (the arm-time count is
+                # ``_next_check - _CHECK_INTERVAL`` there), so a short
+                # script that never reaches a check pays for neither.
                 self._next_check = self.cmd_count + _CHECK_INTERVAL
                 self._limit_fresh = True
                 self._limits_armed = True

@@ -469,10 +469,6 @@ class ParseCache:
     def __init__(self, maxsize=512):
         self._cache = LRUCache(maxsize)
 
-    @property
-    def maxsize(self):
-        return self._cache.maxsize
-
     def get(self, script):
         parsed = self._cache.get(script)
         if parsed is None:

@@ -380,8 +380,8 @@ def run_cond(interp, cond):
             if (var.kind == 0 and var.traces is None
                     and value is not None and var.num_str is value):
                 a = var.num
-                cmp = fused[2]
-                const = fused[3]
+                cmp = fused[1]
+                const = fused[2]
                 if cmp == CMP_LT:
                     return a < const
                 if cmp == CMP_GT:
@@ -677,8 +677,8 @@ def run(interp, code):
             continue
 
         if kind == OP_FOR:
-            _k, cell, start, cond, nxt, body, fuse, text, line, \
-                fallback, func = op
+            _k, cell, start, cond, nxt, body, text, line, fallback, \
+                func = op
             if cell[0] != interp.cmds_generation:
                 if interp.commands.get("for") is func:
                     cell[0] = interp.cmds_generation
@@ -715,55 +715,50 @@ def run(interp, code):
                 finally:
                     interp._nesting = nesting1
 
-                done = False
-                if fuse is not None:
-                    done = _for_fused(interp, op, nesting1, rlimit)
-
-                if not done:
-                    while run_cond(interp, cond):
-                        # Body block.
-                        if nesting1 >= rlimit:
-                            raise interp._recursion_error()
-                        count = interp.cmd_count + 1
-                        interp.cmd_count = count
-                        if count >= interp._next_check:
-                            interp._check_limits(count)
-                        if nesting1 >= interp._peak_nesting:
-                            interp._peak_nesting = nesting1 + 1
-                        interp._nesting = nesting1 + 1
-                        try:
-                            run(interp, body)
-                        except TclBreak:
-                            break
-                        except TclContinue:
-                            pass  # cmd_for still runs the next block
-                        except TclError as err:
-                            interp._start_errorinfo(err, body_source)
-                            raise
-                        except RecursionError:
-                            raise interp._recursion_error()
-                        finally:
-                            interp._nesting = nesting1
-                        # Next block: no break/continue handling, as in
-                        # cmd_for where nxt() runs outside the catch.
-                        if nesting1 >= rlimit:
-                            raise interp._recursion_error()
-                        count = interp.cmd_count + 1
-                        interp.cmd_count = count
-                        if count >= interp._next_check:
-                            interp._check_limits(count)
-                        if nesting1 >= interp._peak_nesting:
-                            interp._peak_nesting = nesting1 + 1
-                        interp._nesting = nesting1 + 1
-                        try:
-                            run(interp, nxt)
-                        except TclError as err:
-                            interp._start_errorinfo(err, next_source)
-                            raise
-                        except RecursionError:
-                            raise interp._recursion_error()
-                        finally:
-                            interp._nesting = nesting1
+                while run_cond(interp, cond):
+                    # Body block.
+                    if nesting1 >= rlimit:
+                        raise interp._recursion_error()
+                    count = interp.cmd_count + 1
+                    interp.cmd_count = count
+                    if count >= interp._next_check:
+                        interp._check_limits(count)
+                    if nesting1 >= interp._peak_nesting:
+                        interp._peak_nesting = nesting1 + 1
+                    interp._nesting = nesting1 + 1
+                    try:
+                        run(interp, body)
+                    except TclBreak:
+                        break
+                    except TclContinue:
+                        pass  # cmd_for still runs the next block
+                    except TclError as err:
+                        interp._start_errorinfo(err, body_source)
+                        raise
+                    except RecursionError:
+                        raise interp._recursion_error()
+                    finally:
+                        interp._nesting = nesting1
+                    # Next block: no break/continue handling, as in
+                    # cmd_for where nxt() runs outside the catch.
+                    if nesting1 >= rlimit:
+                        raise interp._recursion_error()
+                    count = interp.cmd_count + 1
+                    interp.cmd_count = count
+                    if count >= interp._next_check:
+                        interp._check_limits(count)
+                    if nesting1 >= interp._peak_nesting:
+                        interp._peak_nesting = nesting1 + 1
+                    interp._nesting = nesting1 + 1
+                    try:
+                        run(interp, nxt)
+                    except TclError as err:
+                        interp._start_errorinfo(err, next_source)
+                        raise
+                    except RecursionError:
+                        raise interp._recursion_error()
+                    finally:
+                        interp._nesting = nesting1
                 result = ""
             except TclError as err:
                 interp._record_error_frame_text(err, text, line)
@@ -861,133 +856,3 @@ def run(interp, code):
             "internal vm error: bad opcode %r" % (kind,))
     return result
 
-
-def _for_fused(interp, op, nesting1, rlimit):
-    """The fused integer-range ``for`` loop.
-
-    Preconditions (checked by the emitter and revalidated here): the
-    loop variable is a plain scalar written by the start block, the
-    condition is ``$var <cmp> intconst``, and the next block is a
-    single constant-delta ``incr`` of the same variable.  The
-    per-iteration work collapses to one shadow compare, the body, and
-    one virtual ``incr`` -- which still pays the exact work units the
-    tree-walker would (the next-block nested eval entry, then the incr
-    dispatch), so ``info cmdcount`` and budget trip points are
-    engine-independent.
-
-    Returns True when the loop ran to completion (condition went
-    false or the body broke); False means "deopt": fall back to the
-    generic loop, which re-evaluates the condition from current state.
-    """
-    fuse = op[6]
-    body = op[5]
-    body_source = body.source
-    next_source = op[4].source
-    cell = fuse[0]
-    cmp = fuse[2]
-    const = fuse[3]
-    delta = fuse[4]
-    incr_func = fuse[5]
-    gen = interp.cmds_generation
-    if interp.commands.get("incr") is not incr_func:
-        return False
-    frames = interp.frames
-    epoch = interp.var_epoch
-    # Prime the condition's variable cell: on a cold cache (first
-    # execution of a freshly compiled loop) the cell is only filled by
-    # the generic path, which would deopt the fused loop until the
-    # *second* eval of the script.  The start block has just written
-    # the loop variable, so the fill always succeeds here.
-    if not (cell[1] is frames[-1] and cell[0] == epoch):
-        _fill_word_cell(interp, cell, fuse[1])
-    while True:
-        if interp.cmds_generation != gen or interp.var_epoch != epoch:
-            return False
-        if not (cell[1] is frames[-1] and cell[0] == epoch):
-            return False
-        var = cell[2]
-        value = var.value
-        if (var.kind != 0 or var.traces is not None or value is None):
-            return False
-        if var.num_str is value:
-            current = var.num
-        else:
-            try:
-                current = int(value)
-            except ValueError:
-                return False
-        if cmp == CMP_LT:
-            more = current < const
-        elif cmp == CMP_GT:
-            more = current > const
-        elif cmp == CMP_LE:
-            more = current <= const
-        elif cmp == CMP_GE:
-            more = current >= const
-        elif cmp == CMP_EQ:
-            more = current == const
-        else:
-            more = current != const
-        if not more:
-            return True
-        if nesting1 >= rlimit:
-            raise interp._recursion_error()
-        count = interp.cmd_count + 1
-        interp.cmd_count = count
-        if count >= interp._next_check:
-            interp._check_limits(count)
-        if nesting1 >= interp._peak_nesting:
-            interp._peak_nesting = nesting1 + 1
-        interp._nesting = nesting1 + 1
-        try:
-            run(interp, body)
-        except TclBreak:
-            return True
-        except TclContinue:
-            pass  # the virtual incr below is cmd_for's nxt()
-        except TclError as err:
-            interp._start_errorinfo(err, body_source)
-            raise
-        except RecursionError:
-            raise interp._recursion_error()
-        finally:
-            interp._nesting = nesting1
-        # Virtual next block: revalidate, then perform the incr with
-        # the same observable effects as dispatching ``incr``.
-        if interp.cmds_generation != gen or interp.var_epoch != epoch:
-            return False
-        if not (cell[1] is frames[-1] and cell[0] == epoch):
-            return False
-        var = cell[2]
-        value = var.value
-        if var.kind != 0 or var.traces is not None or value is None:
-            return False
-        if var.num_str is value:
-            current = var.num
-        else:
-            try:
-                current = int(value)
-            except ValueError:
-                return False
-        # Work units of the skipped next block, in dispatch order: the
-        # nested eval entry, then the incr command itself.
-        count = interp.cmd_count + 1
-        interp.cmd_count = count
-        if count >= interp._next_check:
-            interp._check_limits(count)
-        count = interp.cmd_count + 1
-        interp.cmd_count = count
-        if count >= interp._next_check:
-            try:
-                interp._check_limits(count)
-            except TclError as err:
-                # The tree-walker's trip on this unit fires inside the
-                # nested eval of the next script, which seeds errorInfo
-                # with its excerpt; mirror that exactly.
-                interp._start_errorinfo(err, next_source)
-                raise
-        new = current + delta
-        text = str(new)
-        var.value = text
-        var.num = new
-        var.num_str = text

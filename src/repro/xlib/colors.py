@@ -194,13 +194,5 @@ def pixel_to_rgb(pixel):
     return ((pixel >> 16) & 0xFF, (pixel >> 8) & 0xFF, pixel & 0xFF)
 
 
-def color_exists(spec):
-    try:
-        parse_color(spec)
-        return True
-    except ColorError:
-        return False
-
-
 BLACK_PIXEL = 0x000000
 WHITE_PIXEL = 0xFFFFFF

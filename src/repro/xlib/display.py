@@ -300,14 +300,6 @@ class Display:
             raise XError("event queue empty")
         return self.queue.popleft()
 
-    def flush(self):
-        """Flush accumulated damage into Expose events."""
-        self.flush_damage()
-
-    def sync(self):
-        """Flush accumulated damage into Expose events."""
-        self.flush_damage()
-
     def _notify_structure(self, window, event_type):
         if window.event_mask & xtypes.StructureNotifyMask:
             self.put_event(XEvent(event_type, window,

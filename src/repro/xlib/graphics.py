@@ -23,9 +23,6 @@ class Pixmap:
         self.depth = depth
         self.framebuffer = numpy.zeros((height, width), dtype=numpy.uint32)
 
-    def absolute_origin(self):
-        return 0, 0
-
 
 class GC:
     """Graphics context: foreground/background pixels and the font."""
@@ -38,10 +35,6 @@ class GC:
         self.background = background
         self.font = font if font is not None else default_font()
         self.line_width = max(1, line_width)
-
-    def copy(self):
-        return GC(self.foreground, self.background, self.font,
-                  self.line_width)
 
 
 def _target(drawable):

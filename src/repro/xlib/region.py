@@ -172,9 +172,6 @@ class Region:
             for y0, y1, xs in self._bands
         ]
 
-    def clear(self):
-        self._bands = []
-
     def copy(self):
         clone = Region()
         clone._bands = list(self._bands)
@@ -233,7 +230,7 @@ class Region:
             return self._bands == other._bands
         return NotImplemented
 
-    def __hash__(self):  # pragma: no cover - regions are mutable
+    def __hash__(self):  # regions are mutable
         raise TypeError("regions are unhashable")
 
     def __repr__(self):  # pragma: no cover

@@ -22,9 +22,6 @@ class CallbackList:
         if source:
             self.source = (self.source + "\n" + source).strip()
 
-    def remove(self, func):
-        self._items = [f for f in self._items if f is not func]
-
     def call(self, widget, call_data=None):
         for func in list(self._items):
             try:

@@ -391,12 +391,6 @@ class Widget:
             widget = widget.parent
         return self.app.default_display
 
-    def shell(self):
-        widget = self
-        while widget is not None and not widget.IS_SHELL:
-            widget = widget.parent
-        return widget
-
     def name_path(self):
         names = []
         widget = self
@@ -580,12 +574,6 @@ class Widget:
             gfx.clear_area(self.window,
                            pixel=self.resources["background"])
             self.expose(None)
-
-    def damage(self, x, y, width, height):
-        """Report a window-relative dirty rect; it is repainted at the
-        next damage flush."""
-        if self.window is not None:
-            self.window.display.damage_rect(self.window, x, y, width, height)
 
     def update_rects(self, rects):
         """Partial redisplay: repaint the given window-relative half-open

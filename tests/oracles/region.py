@@ -101,9 +101,6 @@ class NaiveRegion:
         self._rects = [(x0 + dx, y0 + dy, x1 + dx, y1 + dy)
                        for x0, y0, x1, y1 in self._rects]
 
-    def clear(self):
-        self._rects = []
-
     def copy(self):
         clone = NaiveRegion()
         clone._rects = list(self._rects)

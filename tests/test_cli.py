@@ -1,13 +1,18 @@
 """End-to-end tests of the wafe/mofe command line (subprocess level)."""
 
+import os
+import signal
+import socket
 import subprocess
 import sys
+import time
 
 import pytest
 
 WAFE = [sys.executable, "-c",
         "import sys; from repro.core.cli import main;"
         " sys.exit(main(['wafe'] + sys.argv[1:]))"]
+SERVER = [sys.executable, "-m", "repro.server"]
 MOFE = [sys.executable, "-c",
         "import sys; from repro.core.cli import motif_main;"
         " sys.exit(motif_main(['mofe'] + sys.argv[1:]))"]
@@ -139,3 +144,48 @@ class TestUtilityFlags:
         code, out, __ = run_cli(WAFE, ["--version"])
         assert code == 0
         assert "0.93-repro" in out
+
+
+class TestServeMode:
+    """The server entry points the end-to-end benchmark starts."""
+
+    def test_socket_server_replies_then_stops_on_sigterm(self, tmp_path):
+        path = str(tmp_path / "wafe.sock")
+        proc = subprocess.Popen(SERVER + ["--socket", path],
+                                stdout=subprocess.DEVNULL,
+                                stderr=subprocess.PIPE)
+        try:
+            client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            deadline = time.monotonic() + 30
+            while True:
+                try:
+                    client.connect(path)
+                    break
+                except OSError:
+                    assert proc.poll() is None, proc.stderr.read()
+                    assert time.monotonic() < deadline
+                    time.sleep(0.02)
+            client.settimeout(30)
+            with client, client.makefile("rb") as reader:
+                assert reader.readline().startswith(b"wafe server ")
+                client.sendall(b"%echo pong\n")
+                assert reader.readline() == b"pong\n"
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stderr.close()
+        assert not os.path.exists(path)
+
+    def test_stdio_session_round_trip(self):
+        code, out, err = run_cli(WAFE, ["--serve", "--stdio"],
+                                 stdin="%echo pong\n%quit\n")
+        assert code == 0, err
+        assert out.splitlines()[1:] == ["pong"]
+
+    def test_serve_without_an_address_fails(self):
+        code, __, err = run_cli(WAFE, ["--serve"])
+        assert code == 1
+        assert "serve mode needs" in err

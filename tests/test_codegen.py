@@ -186,3 +186,21 @@ class TestShippedSpecs:
         assert stats["generated_lines"] > 0
         assert stats["handwritten_lines"] > 0
         assert 0.35 <= stats["fraction_generated"] <= 0.8
+
+
+class TestCli:
+    def test_writes_module_and_reference(self, tmp_path, capsys):
+        from repro.codegen.cli import main
+
+        assert main(["--build", "motif", "--out", str(tmp_path)]) == 0
+        module = (tmp_path / "wafe_commands_motif.py").read_text()
+        assert module == codegen.generate_command_module("motif")[0]
+        assert (tmp_path / "wafe_reference_motif.md").read_text() == \
+            codegen.generate_reference("motif")
+        assert "wafe_reference_motif.md" in capsys.readouterr().out
+
+    def test_stats(self, capsys):
+        from repro.codegen.cli import main
+
+        assert main(["--stats"]) == 0
+        assert "fraction generated:" in capsys.readouterr().out

@@ -2,6 +2,7 @@
 
 import os
 import signal
+import socket
 import sys
 import textwrap
 import time
@@ -12,6 +13,7 @@ from repro.xlib import close_all_displays
 from repro.core import make_wafe
 from repro.core.frontend import Frontend
 from repro.core.supervisor import BackendSupervisor
+from repro.server import WafeServer
 
 
 @pytest.fixture
@@ -384,3 +386,58 @@ class TestScriptErrorPaths:
         wafe.app.default_display.click(x + 2, y + 2)
         wafe.app.process_pending()
         assert wafe.run_script("widgetExists b") == "0"
+
+
+class TestServerQuarantineReap:
+    def test_faulty_reader_session_is_reaped_neighbour_unaffected(self):
+        def open_client(address):
+            client = socket.create_connection(address)
+            client.settimeout(0)
+            return client
+
+        def pump_until(server, client, token, rounds=200):
+            out = b""
+            for __ in range(rounds):
+                server.run_once(timeout=0.005)
+                try:
+                    out += client.recv(65536)
+                except BlockingIOError:
+                    pass
+                if token in out:
+                    return out
+            raise AssertionError("no %r; got %r" % (token, out))
+
+        close_all_displays()
+        server = WafeServer(log=lambda message: None)
+        address = server.listen_tcp("127.0.0.1", 0)
+        try:
+            victim = open_client(address)
+            pump_until(server, victim, b"session 1")
+            neighbour = open_client(address)
+            pump_until(server, neighbour, b"session 2")
+            neighbour.sendall(b"%echo t1\n")
+            before = pump_until(server, neighbour, b"t1\n")
+            session = server.sessions[1]
+            faults = []
+
+            def recv():
+                faults.append(1)
+                raise RuntimeError("injected recv fault %d" % len(faults))
+
+            session.transport.recv = recv
+            victim.sendall(b"%echo never\n")  # stays unread: fd readable
+            for __ in range(50):
+                server.run_once(timeout=0.005)
+                if session.ended:
+                    break
+            assert len(faults) == 3
+            assert session.end_reason == "quarantined"
+            assert server.supervisor.ended["quarantined"] == 1
+            assert server.counters["core_errors"] == 3
+            neighbour.sendall(b"%echo t1\n")
+            assert pump_until(server, neighbour, b"t1\n") == before
+            victim.close()
+            neighbour.close()
+        finally:
+            leaked = server.shutdown()
+        assert leaked == 0

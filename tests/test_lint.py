@@ -148,6 +148,16 @@ class TestUnknownResource:  # W003
         (diag,) = only(check(script), "W003")
         assert "labell" in diag.message
 
+    def test_get_values_resources(self):
+        script = ("label lbl topLevel label hi\n"
+                  "getValues lbl label a labell b\n"
+                  "getValues lbl label\n")
+        diags = check(script)
+        (unknown,) = only(diags, "W003")
+        assert "labell" in unknown.message and unknown.line == 2
+        (arity,) = only(diags, "W002")
+        assert arity.line == 3
+
     def test_add_callback_resource(self):
         script = ("command c topLevel label OK\n"
                   "addCallback c callbock {echo hi}\n")
@@ -279,6 +289,12 @@ class TestBadTranslation:  # W007
         assert diag.severity == WARNING
         assert "frobnicate" in diag.message
 
+    def test_override_translations_action_name(self):
+        script = ("command c topLevel label OK\n"
+                  "overrideTranslations c {<Btn1Down>: frobnicate()}\n")
+        (diag,) = only(check(script), "W007")
+        assert "frobnicate" in diag.message and diag.line == 2
+
     def test_class_actions_are_known(self):
         script = ("command c topLevel label OK\n"
                   "action c override {<Btn1Down>: set() notify() unset()}\n")
@@ -312,6 +328,11 @@ class TestUnbracedExpr:  # W009
     def test_if_condition(self):
         diags = only(check('set x 1\nif "$x > 1" { echo big }\n'), "W009")
         assert diags[0].line == 2
+
+    def test_for_condition(self):
+        script = 'set n 3\nfor {set i 0} "$i < $n" {incr i} { echo $i }\n'
+        (diag,) = only(check(script), "W009")
+        assert diag.line == 2
 
     def test_braced_forms_are_silent(self):
         # (W015 legitimately proves the if-branch dead -- x is the

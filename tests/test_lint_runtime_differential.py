@@ -153,11 +153,11 @@ def _lint_codes(script, extra=()):
     return [d.code for d in check(script, extra_commands=extra)]
 
 
-def _gen_clean_script(rng, attempts=200):
+def _gen_clean_script(rng, attempts=200, gen=_gen_script):
     """The next generated script lint finds W012-clean: the
     completeness direction only concerns clean scripts."""
     for _ in range(attempts):
-        script = _gen_script(rng)
+        script = gen(rng)
         if "W012" not in _lint_codes(script):
             return script
     raise AssertionError("no W012-clean script in %d draws" % attempts)
@@ -212,6 +212,71 @@ class TestUseBeforeSetNeverLies:
             error = _run(script)
             if "W012" not in codes and error is not None:
                 assert not _CANT_READ.search(error), script
+
+
+# ----------------------------------------------------------------------
+# W012 through ``for``, ``switch`` and ``time``: the linter builds their
+# flow graphs itself, so they get the same completeness property.
+
+
+def _gen_control_stmt(rng, definite):
+    """A top-level ``for``, ``switch`` (braced or inline) or ``time``
+    around :func:`_gen_block` bodies, which write only variables in
+    ``definite``."""
+    other = _read_var(rng, definite)
+    shape = rng.randrange(4)
+    if shape == 0:
+        body = _gen_block(rng, 1, definite)
+        if rng.random() < 0.5:
+            body = "if {$i == 1} {continue}\n" + body
+        return "for {set i 0} {$i < %d} {incr i} {\n%s\n}" % (
+            rng.randint(0, 3), body)
+    if shape == 1:
+        return "switch -- $%s {\n%d {\n%s\n}\ndefault {\n%s\n}\n}" % (
+            other, rng.randint(0, 9), _gen_block(rng, 1, definite),
+            _gen_block(rng, 1, definite))
+    if shape == 2:
+        return "switch $%s %d {\n%s\n} default {\n%s\n}" % (
+            other, rng.randint(0, 9), _gen_block(rng, 1, definite),
+            _gen_block(rng, 1, definite))
+    return "time {\n%s\n} %d" % (_gen_block(rng, 1, definite),
+                                 rng.randint(1, 3))
+
+
+def _gen_control_script(rng):
+    definite = {"w0"}
+    count = rng.randint(3, 8)
+    control_at = rng.randrange(count)
+    stmts = [
+        _gen_control_stmt(rng, definite)
+        if k == control_at or rng.random() < 0.3
+        else _gen_stmt(rng, 0, definite)
+        for k in range(count)]
+    return "set w0 0\n%s\n" % "\n".join(stmts)
+
+
+class TestControlCommandsKeepUseBeforeSet:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_clean_scripts_never_raise_cant_read(self, seed):
+        script = _gen_clean_script(random.Random(53000 + seed),
+                                   gen=_gen_control_script)
+        error = _run(script)
+        if error is not None:
+            assert not _CANT_READ.search(error), (
+                "lint said every read is definitely assigned, but the "
+                "runtime disagrees:\n%s\n-> %s" % (script, error))
+
+    def test_corpus_exercises_both_verdicts_and_every_shape(self):
+        verdicts = set()
+        text = ""
+        for seed in range(60):
+            script = _gen_control_script(random.Random(53000 + seed))
+            verdicts.add("W012" in _lint_codes(script))
+            text += script
+        assert verdicts == {True, False}
+        for shape in ("for {", "switch -- ", "} default {", "time {",
+                      "{continue}"):
+            assert shape in text, shape
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from repro.motif import (
     FontListError,
     RIGHT_TO_LEFT,
     LEFT_TO_RIGHT,
+    Segment,
     XmCascadeButton,
     XmCommand,
     XmLabel,
@@ -83,6 +84,14 @@ class TestXmStringParsing:
         xmstring = parse_xmstring(r"ab\rlcd\lref", font_list)
         dirs = [s.direction for s in xmstring.segments]
         assert dirs == [LEFT_TO_RIGHT, RIGHT_TO_LEFT, LEFT_TO_RIGHT]
+
+    def test_segments_compare_by_value(self):
+        font_list = parse_font_list(PAPER_FONTLIST)
+        xmstring = parse_xmstring(r"a\bft b", font_list)
+        assert xmstring.segments == [Segment("a", "ft", LEFT_TO_RIGHT),
+                                     Segment(" b", "bft", LEFT_TO_RIGHT)]
+        assert xmstring.segments[0] != Segment("a", "bft", LEFT_TO_RIGHT)
+        assert len(xmstring) == 2
 
     def test_width_uses_segment_fonts(self):
         font_list = parse_font_list(PAPER_FONTLIST)
@@ -161,6 +170,15 @@ class TestXmTextAndCommand:
         text = XmText("t", top)
         text.set_string("hello motif")
         assert text.get_string() == "hello motif"
+
+    def test_text_sizes_from_columns_and_renders_value(self, top):
+        text = XmText("t", top, args={"value": "hello",
+                                      "foreground": "black"})
+        top.realize()
+        text.redraw()
+        assert text.window.width > text.window.height > 0
+        pixels = window_pixels(text.window)
+        assert (pixels == alloc_color("black")).any()
 
     def test_command_append_value(self, top):
         command = XmCommand("cmd", top)

@@ -53,6 +53,13 @@ class TestRegionBasics:
         assert region.bounds() is None
         assert region.area() == 0
 
+    def test_iterates_rects_and_refuses_hashing(self):
+        region = Region((0, 0, 4, 4))
+        region.add_rect(8, 0, 12, 4)
+        assert list(region) == region.rects() == [(0, 0, 4, 4), (8, 0, 12, 4)]
+        with pytest.raises(TypeError):
+            hash(region)
+
     def test_single_rect(self):
         region = Region((2, 3, 10, 8))
         assert region.rects() == [(2, 3, 10, 8)]
@@ -165,7 +172,7 @@ class TestNaiveRegionSpec:
     def test_same_api_surface(self):
         for name in ("add_rect", "union", "intersect", "subtract",
                      "intersect_rect", "subtract_rect", "translate",
-                     "clear", "copy", "is_empty", "rects", "bounds",
+                     "copy", "is_empty", "rects", "bounds",
                      "area", "contains_point"):
             assert callable(getattr(NaiveRegion(), name))
             assert callable(getattr(Region(), name))

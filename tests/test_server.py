@@ -446,6 +446,30 @@ class TestSupervisorLedger:
         assert b"detached" in out
 
 
+    def test_frontend_commands_in_a_session(self, server, tcp):
+        # The session is the frontend: sendToApplication and timer
+        # scripts reply on the socket, and there is no mass channel.
+        client = open_session(server, tcp)
+        client.sendall(
+            b"%sendToApplication to app\n"
+            b"%echo [catch getChannel m] $m\n"
+            b"%echo [catch {setCommunicationVariable v 10 {}} m] $m\n"
+            b"%addTimeOut 10 {echo timer fired}\n")
+        out = b""
+        for __ in range(200):
+            pump(server, 5)
+            out += drain(client)
+            if b"timer fired" in out:
+                break
+        assert out.decode().splitlines() == [
+            "to app",
+            "1 getChannel: no mass transfer channel in a server session",
+            "1 setCommunicationVariable: no mass transfer channel in a "
+            "server session",
+            "timer fired",
+        ]
+
+
 class TestEventStatsScope:
     def ask(self, server, client, script, marker):
         """Send one ``%echo marker<script result>`` line; the result."""

@@ -49,6 +49,8 @@ class TestExitStatus:
         assert status.kind == "exit"
         assert status.code == 3
         assert not status.success
+        assert str(status) == "exit 3"
+        assert repr(status) == "<ExitStatus exit 3>"
 
     def test_signal_exit(self):
         status = classify_exit(-9)
@@ -323,3 +325,19 @@ class TestRestartIntegration:
         assert supervisor.state == "stopped"
         assert supervisor._restart_timer is None
         assert wafe.app._timeouts == []
+
+    def test_stdout_closed_but_alive_is_terminated(self, wafe, tmp_path):
+        # EOF without an exit: the supervisor ends the session itself
+        # with SIGTERM, so the hook sees a real exit status.
+        wafe.run_script("onBackendExit {set lastStatus {%s}}")
+        supervisor = BackendSupervisor(wafe, backend(tmp_path, """
+            import os, time
+            os.close(1)
+            time.sleep(30)
+        """))
+        supervisor.start()
+        wafe.main_loop(until=lambda: wafe.interp.var_exists("lastStatus"),
+                       max_idle=5000)
+        assert wafe.run_script("set lastStatus") == "signal 15 (SIGTERM)"
+        assert supervisor.frontend.process.poll() == -signal.SIGTERM
+        supervisor.stop()

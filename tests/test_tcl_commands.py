@@ -81,6 +81,16 @@ class TestStringCommand:
     def test_length(self, tcl):
         assert tcl.eval("string length hello") == "5"
 
+    @pytest.mark.parametrize("script, usage", [
+        ("string", "string option arg ?arg ...?"),
+        ("string length a b", "string length string"),
+        ("string index abc", "string index string charIndex"),
+    ])
+    def test_wrong_args(self, tcl, script, usage):
+        with pytest.raises(TclError) as info:
+            tcl.eval(script)
+        assert str(info.value) == 'wrong # args: should be "%s"' % usage
+
     def test_index(self, tcl):
         assert tcl.eval("string index hello 1") == "e"
         assert tcl.eval("string index hello end") == "o"
@@ -222,3 +232,17 @@ class TestRegsub:
     def test_no_match(self, tcl):
         assert tcl.eval("regsub z hello x out") == "0"
         assert tcl.eval("set out") == "hello"
+
+
+class TestSource:
+    def test_source_evaluates_the_file(self, tcl, tmp_path):
+        path = tmp_path / "lib.tcl"
+        path.write_text("set x 4\nexpr {$x * 2}\n")
+        assert tcl.eval("source {%s}" % path) == "8"
+        assert tcl.eval("set x") == "4"
+
+    def test_source_errors(self, tcl, tmp_path):
+        with pytest.raises(TclError, match="couldn't read file"):
+            tcl.eval("source {%s}" % (tmp_path / "missing.tcl"))
+        with pytest.raises(TclError, match='should be "source fileName"'):
+            tcl.eval("source")

@@ -417,3 +417,11 @@ class TestDisassembler:
                 "info bytecode disassemble {%s}" % self.SCRIPT)
             for __ in range(2)]
         assert listings == [self.LISTING, self.LISTING]
+
+    def test_listing_leaves_the_vm_ledger_unchanged(self):
+        interp = Interp()
+        line = "info bytecode disassemble {set a 1; puts x}"
+        interp.eval(line)
+        before = interp.eval("info stats tcl.vm.*")
+        interp.eval(line)  # the line itself is a bytecode-cache hit
+        assert interp.eval("info stats tcl.vm.*") == before

@@ -140,6 +140,13 @@ HOSTILE_SCRIPTS = [
     "proc p {b} {foreach i {1 2} $b}\np {set x [}",
     "proc p {b} {set c 1; while $c $b}\np {set x [}",
     "proc p {b} {for {set i 0} {$i < 2} {incr i} $b}\np {set x [}",
+    # A Python fault in a constant operand (OverflowError, raised at
+    # once) must not fail the line at compile time: the walker meets
+    # it only when the expression runs, inside the expr firewall.
+    "if {0} {expr {1 << (1<<70)}}; set ok 1",
+    "while {0} {expr {1 << (1<<70)}}; set ok 1",
+    "set x 0; if {$x} {expr {1 << (1<<70)}} else {set ok 1}",
+    "catch {expr {1 << (1<<70)}} m; set m",
 ]
 
 

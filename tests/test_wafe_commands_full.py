@@ -294,3 +294,32 @@ class TestWidgetReferenceErrors:
         wafe.run_script("label l topLevel")
         with pytest.raises(TclError, match="does not support"):
             wafe.run_script("listHighlight l 0")
+
+
+class TestCallbackAndApplicationCommands:
+    def test_add_callback_appends_a_script(self, wafe):
+        wafe.run_script("command b topLevel callback {lappend got first}")
+        wafe.run_script("addCallback b callback {lappend got second}")
+        wafe.run_script("realize")
+        widget = wafe.lookup_widget("b")
+        callbacks = widget.callback_list("callback")
+        assert len(callbacks) == 2 and callbacks
+        assert not widget.callback_list("destroyCallback")
+        x, y = widget.window.absolute_origin()
+        wafe.app.default_display.click(x + 2, y + 2)
+        wafe.app.process_pending()
+        assert wafe.run_script("set got") == "first second"
+
+    @pytest.mark.parametrize("script, message", [
+        ("addCallback b callback",
+         'wrong # args: should be "addCallback widget resource script"'),
+        ("addCallback b bogus {set x 1}",
+         'widget "b" has no callback resource "bogus"'),
+        ("sendToApplication hello",
+         "sendToApplication: no application attached"),
+    ])
+    def test_errors(self, wafe, script, message):
+        wafe.run_script("command b topLevel")
+        with pytest.raises(TclError) as info:
+            wafe.run_script(script)
+        assert str(info.value) == message

@@ -89,6 +89,13 @@ class TestWidgetCreation:
         mofe.run_script("mPushButton pressMe topLevel")
         assert mofe.lookup_widget("pressMe").CLASS_NAME == "XmPushButton"
 
+    def test_motif_font_list_reads_back_as_a_font_list(self, mofe):
+        mofe.run_script("mLabel fl topLevel fontList {*lucida-bold-r*14*=b}")
+        source = mofe.run_script("gV fl fontList")
+        assert source.endswith("=b")
+        assert mofe.run_script("sV fl fontList {%s}; gV fl fontList"
+                               % source) == source
+
     def test_motif_commands_absent_in_athena_build(self, wafe):
         with pytest.raises(TclError, match="invalid command name"):
             wafe.run_script("mPushButton b topLevel")

@@ -21,6 +21,7 @@ from repro.xaw import (
     Scrollbar,
     SimpleMenu,
     SmeBSB,
+    SmeLine,
     StripChart,
     Viewport,
 )
@@ -60,6 +61,20 @@ class TestList:
         lst.highlight(1)
         assert lst.current().string == "b"
         lst.unhighlight()
+        assert lst.current() is None
+
+    def test_unset_action_clears_highlight(self, app, top):
+        from repro.xt.translations import merge_tables, parse_translation_table
+
+        lst = List("l", top, args={"list": "a b"})
+        lst.resources["translations"] = merge_tables(
+            lst.resources["translations"],
+            parse_translation_table("#override\n<Btn3Down>: Unset()"))
+        top.realize()
+        lst.highlight(1)
+        x, y = lst.window.absolute_origin()
+        app.default_display.press_button(x + 2, y + 2, button=3)
+        app.process_pending()
         assert lst.current() is None
 
     def test_change_list_resets_selection(self, top):
@@ -106,6 +121,25 @@ class TestAsciiText:
         app.default_display.press_key(text.window, backspace)
         app.process_pending()
         assert text.get_string() == "ab"
+
+    def test_newline_and_line_motion_keys(self, app, top):
+        from repro.xlib.keysym import keysym_to_keycode
+
+        text = AsciiText("input", top, args={"editType": "edit"})
+        top.realize()
+        display = app.default_display
+        ret, __ = keysym_to_keycode("Return")
+        a_key, __ = keysym_to_keycode("a")
+        e_key, __ = keysym_to_keycode("e")
+        display.type_string(text.window, "ab")
+        display.press_key(text.window, ret)
+        display.type_string(text.window, "cd")
+        display.press_key(text.window, a_key, state=xtypes.ControlMask)
+        display.type_string(text.window, "X")
+        display.press_key(text.window, e_key, state=xtypes.ControlMask)
+        display.type_string(text.window, "Y")
+        app.process_pending()
+        assert text.get_string() == "ab\nXcdY"
 
     def test_read_mode_rejects_typing(self, app, top):
         text = AsciiText("t", top, args={"editType": "read",
@@ -159,6 +193,15 @@ class TestMenus:
         app.process_pending()
         assert chosen == ["first"]
         assert not menu.popped_up
+
+    def test_line_separator_takes_its_line_width(self, top):
+        button = MenuButton("mb", top, args={"menuName": "menu"})
+        menu = SimpleMenu("menu", button)
+        first = SmeBSB("first", menu)
+        SmeLine("rule", menu, args={"lineWidth": "3"})
+        last = SmeBSB("last", menu)
+        menu.layout()
+        assert last["y"] - first["height"] == 5
 
     def test_paper_enterwindow_popup_translation(self, app, top):
         # The paper: action mb override "<EnterWindow>: PopupMenu()"
@@ -241,6 +284,13 @@ class TestContainers:
         names = [c.name for c in dialog.children]
         assert "label" in names and "value" in names
 
+    def test_dialog_set_values_updates_children(self, top):
+        dialog = Dialog("d", top, args={"label": "Name:", "value": "a"})
+        dialog.set_values({"label": "New name:", "value": "b"})
+        children = {c.name: c for c in dialog.children}
+        assert children["label"]["label"] == "New name:"
+        assert children["value"].get_string() == "b"
+
 
 class TestScrollbar:
     def test_thumb_setting_clamps(self, top):
@@ -284,6 +334,17 @@ class TestStripChart:
         assert chart.sample() == 1.0
         assert chart.sample() == 5.0
         assert chart.samples == [1.0, 5.0]
+
+    def test_update_timer_samples_repeatedly(self, app, top):
+        chart = StripChart("c", top, args={"update": "1"})  # 100 ms
+
+        def produce(widget, holder):
+            holder[0] = 2.0
+
+        chart.add_callback("getValue", produce)
+        top.realize()
+        app.main_loop(until=lambda: len(chart.samples) >= 2, max_idle=50)
+        assert chart.samples == [2.0, 2.0]
 
 
 class TestPlotter:

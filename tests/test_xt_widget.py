@@ -101,6 +101,12 @@ class TestSetGetValues:
         label = Label("l", top, args={"background": "red"})
         assert label.get_value_string("background") == "#FF0000"
 
+    def test_in_tests_resources_and_constraints(self, top):
+        form = Form("f", top)
+        label = Label("l", form)
+        assert "label" in label and "fromVert" in label
+        assert "bogus" not in label
+
     def test_bad_resource_name_raises(self, top):
         label = Label("l", top)
         with pytest.raises(WidgetError, match='no resource "bogus"'):
