@@ -141,8 +141,9 @@ class LineChannel:
     """
 
     # How much outbound data may accumulate before we stop deferring
-    # to loop idle and write through (bounds latency; roughly one pipe
-    # capacity so the write usually completes in one call).
+    # to the end of the frame and write through (bounds latency;
+    # roughly one pipe capacity so the write usually completes in one
+    # call).
     FLUSH_THRESHOLD = 32768
 
     #: A pending teardown reason: once set, the rest of a read is dropped.
@@ -158,7 +159,6 @@ class LineChannel:
         self._out_buffered_bytes = 0
         self._pending = collections.deque()
         self._pending_bytes = 0
-        self._flush_work_id = None
         self._output_id = None
         self._overflowed = False
         self.dropped_bytes = 0
@@ -237,11 +237,12 @@ class LineChannel:
     def send(self, text):
         """Queue ``text`` for the peer; order is preserved.
 
-        The actual write happens in :meth:`flush` -- scheduled as an
-        idle work proc so all the sends fired by one event become a
-        single ``write()`` on the descriptor.  Data beyond the
-        high-water mark is dropped with a reported error rather than
-        buffered without bound (the peer is not reading)."""
+        The actual write happens in :meth:`flush` -- at the end of the
+        frame, which the event loop reaches before it blocks -- so all
+        the sends fired by one event become a single ``write()`` on the
+        descriptor.  Data beyond the high-water mark is dropped with a
+        reported error rather than buffered without bound (the peer is
+        not reading)."""
         if self.closed or self.transport.closed:
             return
         if self.queued_bytes() + len(text) > self.high_water:
@@ -255,13 +256,6 @@ class LineChannel:
         self._out_buffered_bytes += len(text)
         if self._out_buffered_bytes >= self.FLUSH_THRESHOLD:
             self.flush()
-        elif self._flush_work_id is None:
-            self._flush_work_id = self.wafe.app.add_work_proc(
-                self._idle_flush)
-
-    def _idle_flush(self):
-        self.flush()
-        return True  # one-shot: the work proc removes itself
 
     def _frame_flush(self):
         """End-of-dispatch flush point: everything the frame's events
@@ -286,7 +280,6 @@ class LineChannel:
         Never blocks: what the kernel will not take right now stays in
         the pending queue and an output watch on the event loop drains
         it as the peer reads."""
-        self._cancel_idle_flush()
         if self._out_buffer:
             data = "".join(self._out_buffer).encode("utf-8", "replace")
             self._out_buffer = []
@@ -373,11 +366,6 @@ class LineChannel:
         self._clear_outbound()
         self._remove_reader()
 
-    def _cancel_idle_flush(self):
-        if self._flush_work_id is not None:
-            self.wafe.app.remove_work_proc(self._flush_work_id)
-            self._flush_work_id = None
-
     def _cancel_output_watch(self):
         if self._output_id is not None:
             self.wafe.app.remove_output(self._output_id)
@@ -389,7 +377,6 @@ class LineChannel:
         self._pending.clear()
         self._pending_bytes = 0
         self._cancel_output_watch()
-        self._cancel_idle_flush()
 
 
 #: The benchmark probes (``perfbench/probes.py``) patch this name.

@@ -345,11 +345,12 @@ class WafeServer:
             worked = True
         if self.core.run_one_work_proc():
             worked = True
-        # Dispatch any X events the pass produced in each session
-        # (damage flushes from timer scripts, for example); command
-        # dispatch already does this inline.
+        # End the frame of each session the pass touched: dispatch the
+        # X events it produced (damage flushes from timer scripts, for
+        # example) and flush what its timers and work procs sent.
         for session in list(self.sessions.values()):
-            if not session.ended and session.wafe.app.pending():
+            if not session.ended and (session.wafe.app.pending()
+                                      or session.queued_bytes()):
                 session.wafe.app.process_pending()
                 worked = True
         return worked

@@ -13,22 +13,18 @@ from repro.xt.widget import Constraint, Composite, WidgetError
 from repro.xaw.simple import ThreeD
 
 
-class _WidgetRefMixin:
-    """Resolve fromVert/fromHoriz strings to sibling widgets."""
-
-    def resolve_sibling(self, child, value):
-        if value is None or value == "":
-            return None
-        if hasattr(value, "CLASS_NAME"):
-            return value
-        for sibling in self.children:
-            if sibling.name == value:
-                return sibling
-        raise WidgetError(
-            'constraint refers to unknown sibling "%s"' % value)
+def _attachment(child, name):
+    """The sibling ``child`` is attached to by ``fromVert`` or
+    ``fromHoriz``.  One that is destroyed or unmanaged counts as unset
+    and attaches the child to the Form's edge, so where a child goes
+    depends on the Form as it is, never on an earlier layout."""
+    sibling = child.constraints.get(name)
+    if sibling is None or sibling.destroyed or not sibling.managed:
+        return None
+    return sibling
 
 
-class Form(Constraint, _WidgetRefMixin):
+class Form(Constraint):
     CLASS_NAME = "Form"
     RESOURCES = [
         res("defaultDistance", R.R_INT, 4, class_="Thickness"),
@@ -45,47 +41,64 @@ class Form(Constraint, _WidgetRefMixin):
         res("resizable", R.R_BOOLEAN, False),
     ]
 
+    def resolve_constraint(self, child, name, value):
+        """String-to-Widget for fromVert/fromHoriz as they are set: a
+        name that is no sibling fails the command that set it, never a
+        later layout."""
+        if name not in ("fromVert", "fromHoriz"):
+            return value
+        if not isinstance(value, str):
+            return value  # a widget given programmatically
+        if value == "":
+            return None
+        for sibling in self.children:
+            if sibling.name == value:
+                return sibling
+        raise WidgetError(
+            'constraint refers to unknown sibling "%s"' % value)
+
     def layout(self):
         """Place children honouring fromVert/fromHoriz chains."""
         placed = {}
         remaining = [c for c in self.children if c.managed]
-        guard = len(remaining) * len(remaining) + 1
-        while remaining and guard > 0:
-            guard -= 1
+        progress = True
+        while remaining and progress:
+            progress = False
             for child in list(remaining):
-                above = self.resolve_sibling(child,
-                                             child.constraints.get("fromVert"))
-                left = self.resolve_sibling(child,
-                                            child.constraints.get("fromHoriz"))
+                above = _attachment(child, "fromVert")
+                left = _attachment(child, "fromHoriz")
                 if above is not None and above not in placed:
                     continue
                 if left is not None and left not in placed:
                     continue
-                width, height = child.preferred_size()
-                border = 2 * child.resources["borderWidth"]
                 x = child.constraints.get("horizDistance", 4)
                 y = child.constraints.get("vertDistance", 4)
                 if left is not None:
-                    lx, __, lw, __ = placed[left]
-                    x = lx + lw + child.constraints.get("horizDistance", 4)
+                    x += placed[left][0] + placed[left][2]
                 if above is not None:
-                    __, ay, __, ah = placed[above]
-                    y = ay + ah + child.constraints.get("vertDistance", 4)
-                placed[child] = (x, y, width + border, height + border)
-                child.resources["x"] = x
-                child.resources["y"] = y
-                child.resources["width"] = width
-                child.resources["height"] = height
-                if child.window is not None:
-                    child.window.configure(x=x, y=y, width=max(1, width),
-                                           height=max(1, height))
+                    y += placed[above][1] + placed[above][3]
+                placed[child] = self._place(child, x, y)
                 remaining.remove(child)
-        if remaining:
-            # Constraint cycle: place leftovers at the default offset.
-            for child in remaining:
-                width, height = child.preferred_size()
-                child.resources["width"] = width
-                child.resources["height"] = height
+                progress = True
+        # Constraint cycle: place leftovers at the default offset.
+        for child in remaining:
+            self._place(child, child.constraints.get("horizDistance", 4),
+                        child.constraints.get("vertDistance", 4))
+
+    @staticmethod
+    def _place(child, x, y):
+        """Move ``child`` to (x, y) at its preferred size; returns its
+        outer box (x, y, width, height) borders included."""
+        width, height = child.preferred_size()
+        child.resources["x"] = x
+        child.resources["y"] = y
+        child.resources["width"] = width
+        child.resources["height"] = height
+        if child.window is not None:
+            child.window.configure(x=x, y=y, width=max(1, width),
+                                   height=max(1, height))
+        border = 2 * child.resources["borderWidth"]
+        return (x, y, width + border, height + border)
 
     def preferred_size(self):
         if self.resources["width"] > 0 and self.resources["height"] > 0:
@@ -203,24 +216,44 @@ class Paned(Constraint):
         return [c for c in self.children
                 if c.managed and not isinstance(c, Grip)]
 
+    def realize_hook(self):
+        self._ensure_grips()
+
+    def defer_layout(self):
+        # The grips follow the panes as the change happens (Xaw's
+        # ChangeManaged); only their placement waits for the layout.
+        self._ensure_grips()
+        super().defer_layout()
+
     def _ensure_grips(self):
+        """Every managed pane but the last has a managed grip below it
+        (unless its showGrip is off); other grips are unmanaged, and a
+        destroyed pane's grip goes with it."""
         from repro.xaw.grip import Grip
 
         if not self.resources["showGrips"] or self._making_grips:
             return
-        self._making_grips = True  # Grip creation re-enters layout()
+        self._making_grips = True  # grip changes mark this Paned again
         try:
-            panes = self.panes()
-            for pane in panes[:-1]:
-                if pane in self._grips or not pane.constraints.get(
-                        "showGrip", True):
-                    continue
-                grip = Grip("grip-%s" % pane.name, self)
-                grip.add_callback(
-                    "callback",
-                    lambda g, data, _pane=pane: self._grip_event(_pane,
-                                                                 data))
-                self._grips[pane] = grip
+            wanted = [pane for pane in self.panes()[:-1]
+                      if pane.constraints.get("showGrip", True)]
+            for pane, grip in list(self._grips.items()):
+                if pane.destroyed:
+                    del self._grips[pane]
+                    grip.destroy()
+                elif pane not in wanted and grip.managed:
+                    self.unmanage_child(grip)
+            for pane in wanted:
+                grip = self._grips.get(pane)
+                if grip is None:
+                    grip = Grip("grip-%s" % pane.name, self)
+                    grip.add_callback(
+                        "callback",
+                        lambda g, data, _pane=pane: self._grip_event(
+                            _pane, data))
+                    self._grips[pane] = grip
+                elif not grip.managed:
+                    self.manage_child(grip)
         finally:
             self._making_grips = False
 
@@ -244,7 +277,6 @@ class Paned(Constraint):
             self._drag = None
 
     def layout(self):
-        self._ensure_grips()
         gap = self.resources["internalBorderWidth"]
         vertical = self.resources["orientation"] == "vertical"
         offset = 0

@@ -100,7 +100,7 @@ class Label(ThreeD):
                 if self.window is not None:
                     self.window.configure(width=width)
                 if self.parent is not None:
-                    self.parent.layout()
+                    self.parent.defer_layout()
                 return False  # geometry changed: full redraw
         # Text-only change on the damage path: repaint just the union of
         # the old and new text extents.  Only for plain Labels -- a

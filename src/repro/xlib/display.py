@@ -13,6 +13,7 @@ them.
 
 import collections
 import itertools
+from operator import attrgetter
 
 import numpy
 
@@ -222,6 +223,8 @@ class Display:
     def __init__(self, name=":0"):
         self.name = name
         self._damage = {}  # wid -> (window, region), insertion ordered
+        self._painted = set()  # windows painted outside a flush
+        self._relayout = {}  # the geometry dirty set: widget -> None
         self._in_damage_flush = False
         self._uncovered = None  # absolute Region awaiting a repaint
         self.render_stats = self._zero_render_stats()
@@ -260,6 +263,7 @@ class Display:
         if self.grab_window is window:
             self.grab_window = None
         self._damage.pop(window.wid, None)
+        self._painted.discard(window)
         self.queue = collections.deque(
             e for e in self.queue if e.window is not window
         )
@@ -426,6 +430,45 @@ class Display:
             region.subtract_rect(*keep)
         self._uncovered.union(region)
 
+    def note_paint(self, window):
+        """A widget painted ``window`` directly, outside a flush: the
+        next flush repaints whatever is stacked above it."""
+        self._painted.add(window)
+
+    def _stacking(self):
+        """The viewable windows in painting order: a parent before its
+        children, a later sibling over an earlier one."""
+        order = []
+        stack = [self.root]
+        while stack:
+            window = stack.pop()
+            order.append(window)
+            stack += [child for child in reversed(window.children)
+                      if child.mapped and not child.destroyed]
+        return order
+
+    def _damage_above(self, order):
+        """Extend the damage, and the windows painted directly since
+        the last flush, to every window stacked above them where they
+        overlap.  Repainting in stacking order then leaves on top what
+        a full repaint would."""
+        painted, self._painted = self._painted, set()
+        sources = []  # absolute boxes, from windows lower in the stack
+        for window in order:
+            if sources:
+                wx0, wy0, wx1, wy1 = window.absolute_box()
+                for x0, y0, x1, y1 in sources:
+                    if x0 < wx1 and wx0 < x1 and y0 < wy1 and wy0 < y1:
+                        self.damage_rect(window, x0 - wx0, y0 - wy0,
+                                         x1 - x0, y1 - y0)
+            entry = self._damage.get(window.wid)
+            if entry is not None:
+                ox, oy = window.absolute_origin()
+                x0, y0, x1, y1 = entry[1].bounds()
+                sources.append((ox + x0, oy + y0, ox + x1, oy + y1))
+            if window in painted:
+                sources.append(window.absolute_box())
+
     def _repaint_uncovered(self):
         region, self._uncovered = self._uncovered, None
         region.intersect_rect(0, 0, self.screen.width, self.screen.height)
@@ -458,28 +501,51 @@ class Display:
                                  count=total - 1 - i))
         return events
 
+    def mark_geometry(self, widget):
+        """Note that ``widget`` must lay its children out again.  Marks
+        accumulate until the next flush point, so a dialog built one
+        child at a time is laid out once (XawFormDoLayout)."""
+        self._relayout[widget] = None
+
+    def flush_geometry(self):
+        """The layout pass: lay out every marked widget, ancestors
+        first, so a parent settles its children's sizes before they
+        arrange their own.  Marks made during the pass are drained by a
+        further round.  Geometry reads call this before they look."""
+        while self._relayout:
+            dirty, self._relayout = self._relayout, {}
+            for widget in sorted(dirty, key=attrgetter("depth")):
+                if not widget.destroyed:
+                    widget.layout()
+
     def flush_damage(self):
-        """Flush point: coalesce accumulated damage into minimal Expose
-        series and queue them.  Runs automatically before the queue is
-        inspected, so callers of pending()/next_event() always observe
-        the events their damage implies."""
+        """Flush point: run the layout pass, then coalesce accumulated
+        damage into minimal Expose series and queue them.  Runs
+        automatically before the queue is inspected, so callers of
+        pending()/next_event() always observe the events their damage
+        implies."""
+        self.flush_geometry()
         if self._in_damage_flush:
             return
         if self._uncovered is not None:
             self._repaint_uncovered()
-        if not self._damage:
+        if not (self._damage or self._painted):
             return
         self._in_damage_flush = True
         try:
-            while self._damage:
+            while self._damage or self._painted:
+                order = self._stacking()
+                self._damage_above(order)
+                if not self._damage:
+                    break
                 damage, self._damage = self._damage, {}
                 self.render_stats["damage_flushes"] += 1
-                for window, region in damage.values():
-                    if window.destroyed or not window.viewable():
+                for window in order:
+                    entry = damage.get(window.wid)
+                    if entry is None or not (window.event_mask &
+                                             xtypes.ExposureMask):
                         continue
-                    if not (window.event_mask & xtypes.ExposureMask):
-                        continue
-                    for event in self.take_expose_series(window, region):
+                    for event in self.take_expose_series(window, entry[1]):
                         self.put_event(event)
         finally:
             self._in_damage_flush = False
@@ -573,6 +639,7 @@ class Display:
 
     def warp_pointer(self, ax, ay):
         """Move the pointer; generates Enter/Leave crossings."""
+        self.flush_geometry()  # hit-testing reads window geometry
         self.pointer_x = ax
         self.pointer_y = ay
         self._crossing(self.window_at(ax, ay), ax, ay)
@@ -624,6 +691,7 @@ class Display:
         """Key press (and release) delivered to a window (or the focus)."""
         if window is None:
             window = self.focus_window or self.pointer_window or self.root
+        self.flush_geometry()
         ox, oy = window.absolute_origin()
         x = self.pointer_x - ox
         y = self.pointer_y - oy
@@ -655,6 +723,8 @@ class Display:
         self.closed = True
         self.queue.clear()
         self._damage.clear()
+        self._painted.clear()
+        self._relayout.clear()
 
 
 _displays = {}

@@ -232,10 +232,6 @@ class XtAppContext:
             self._shared_work.add(work_id)
         return work_id
 
-    def remove_work_proc(self, work_id):
-        self._shared_work.discard(work_id)
-        self.core.remove_work_proc(work_id)
-
     def release_core_sources(self):
         """Sweep every source this context registered off a shared core
         (session teardown).  Each removal is a safe no-op for sources

@@ -11,7 +11,6 @@ concatenates superclass resource lists -- which is what makes
 
 from repro.tcl.errors import TclError
 from repro.xlib import xtypes
-from repro.xlib import graphics as gfx
 from repro.xt import resources as R
 from repro.xt.callbacks import CallbackList
 from repro.xt.converters import shareable
@@ -159,12 +158,14 @@ class Widget:
         self._expose_batch = []
         if parent is not None:
             self.app = parent.app
+            self.depth = parent.depth + 1
             if self not in parent.children:
                 parent.children.append(self)
         else:
             if app is None:
                 raise WidgetError("root widget needs an app context")
             self.app = app
+            self.depth = 0
         self._initialize_resources(args or {})
         self.initialize()
         if managed and parent is not None:
@@ -192,6 +193,10 @@ class Widget:
             if name in constraint_map:
                 constraints[name] = converters.convert(
                     self, constraint_map[name].type, raw)
+        if self.parent is not None:
+            for name, value in constraints.items():
+                constraints[name] = self.parent.resolve_constraint(
+                    self, name, value)
         self.resources = resources
         self.constraints = constraints
         # Wafe/Xt semantics: translations from resources merge onto the
@@ -317,8 +322,9 @@ class Widget:
                 self.resources[name] = value
                 changed.append(name)
             elif name in constraint_map:
-                value = converters.convert(self, constraint_map[name].type,
-                                           raw)
+                value = self.parent.resolve_constraint(
+                    self, name,
+                    converters.convert(self, constraint_map[name].type, raw))
                 old[name] = self.constraints.get(name)
                 self.constraints[name] = value
                 changed.append(name)
@@ -336,7 +342,7 @@ class Widget:
                 self.redraw()
         if self.parent is not None and any(
                 name in constraint_map for name in changed):
-            self.parent.layout()
+            self.parent.defer_layout()
 
     def set_values_hook(self, old, changed):
         """Class hook: react to changed resources.  Return true when the
@@ -357,7 +363,10 @@ class Widget:
             )
 
     def get_value_string(self, name):
-        """getValues: resource rendered back to a string."""
+        """getValues: resource rendered back to a string.  Geometry
+        reads run the pending layout pass first."""
+        if name in ("x", "y", "width", "height"):
+            self.display().flush_geometry()
         resource_map = self.class_resource_map()
         constraint_map = (self.parent.class_constraint_map()
                           if self.parent is not None else {})
@@ -422,18 +431,28 @@ class Widget:
 
     def manage_child(self, child):
         child.managed = True
-        if self.realized and not child.realized:
-            child.realize()
-            self.layout()
-        elif self.realized:
-            self.layout()
+        if self.realized:
+            if not child.realized:
+                child.realize()
+            self.defer_layout()
 
     def unmanage_child(self, child):
         child.managed = False
         if child.window is not None:
             child.window.unmap()
         if self.realized:
-            self.layout()
+            self.defer_layout()
+
+    def defer_layout(self):
+        """Mark this widget's layout stale.  The display's next flush
+        point lays it out once, however many changes marked it."""
+        self.display().mark_geometry(self)
+
+    def resolve_constraint(self, child, name, value):
+        """Constraint class hook: the value ``child`` stores for its
+        constraint resource ``name`` as it is set, at creation or by
+        setValues (where a String-to-Widget conversion happens)."""
+        return value
 
     def layout(self):
         """Composite geometry hook; Core keeps children where they are."""
@@ -464,6 +483,7 @@ class Widget:
             self.resources["width"] = grow_w
             self.resources["height"] = grow_h
             self.window.configure(width=grow_w, height=grow_h)
+            self.defer_layout()  # the layout above was for the old size
             if self.parent is not None:
                 self.parent.child_resized(self)
 
@@ -510,8 +530,9 @@ class Widget:
             if child.managed and not getattr(child, "is_popup", False):
                 child.realize()
         # A second pass now that every child window exists: stacking
-        # order and sizes that depend on realized children settle here.
-        self.layout()
+        # order and sizes that depend on realized children settle at
+        # the next flush point.
+        self.defer_layout()
         if self.managed and self.resources["mappedWhenManaged"]:
             self.window.map()
 
@@ -570,10 +591,13 @@ class Widget:
 
     def redraw(self):
         self._expose_batch = []
-        if self.window is not None and self.window.viewable():
-            gfx.clear_area(self.window,
-                           pixel=self.resources["background"])
+        window = self.window
+        if window is not None and window.viewable():
+            # As on an Expose: a class that paints clears its own
+            # background first; one that paints nothing leaves the
+            # screen as it is.
             self.expose(None)
+            window.display.note_paint(window)
 
     def update_rects(self, rects):
         """Partial redisplay: repaint the given window-relative half-open
@@ -593,6 +617,7 @@ class Widget:
         stats["damage_pixels"] += region.area()
         for event in display.take_expose_series(window, region):
             self.handle_expose(event)
+        display.note_paint(window)
 
     # ------------------------------------------------------------------
     # Callbacks
@@ -620,12 +645,15 @@ class Widget:
     # Destruction (the paper's memory-management component)
 
     def destroy(self):
+        """XtDestroyWidget.  As in phase 2 of the Xt destroy, a managed
+        widget leaves its parent's layout: the parent lays out again
+        without it, and siblings attached to it lose the attachment."""
         if self.destroyed:
             return
         self.call_callbacks("destroyCallback")
+        self.destroyed = True  # so its children do not mark it dirty
         for child in list(self.children):
             child.destroy()
-        self.destroyed = True
         if self.window is not None:
             self.app.unregister_window(self.window)
             self.window.destroy()
@@ -637,6 +665,10 @@ class Widget:
         self.constraints.clear()
         self.accelerator_bindings = []
         self.app.widget_destroyed(self)
+        parent = self.parent
+        if (self.managed and parent is not None and parent.realized
+                and not parent.destroyed):
+            parent.defer_layout()
 
     def __repr__(self):  # pragma: no cover
         return "<%s %r>" % (self.CLASS_NAME, self.name)

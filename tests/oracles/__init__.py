@@ -13,5 +13,7 @@ only tests and benchmarks construct them:
 * :mod:`tests.oracles.eventcore` -- the raw-``select`` readiness pass
   (``SelectEventCore``) behind the ``selectors`` event core;
 * :mod:`tests.oracles.render` -- the full repaint every damage-driven
-  checkpoint must match byte for byte.
+  checkpoint must match byte for byte;
+* :mod:`tests.oracles.geometry` -- eager layout (``use_eager_geometry``)
+  behind the deferred geometry pass.
 """

@@ -3,8 +3,9 @@
 Multiple ``echo`` lines fired from one event must coalesce into a
 single ``write()`` + ``flush()`` on the backend pipe, the queued lines
 must arrive in exactly the order they were sent, and the deferred
-flush must still happen without explicit intervention (at event-loop
-idle) so a waiting backend never starves.
+flush must still happen without explicit intervention (the end-of-frame
+flush the event loop runs before it blocks) so a waiting backend never
+starves.
 """
 
 import sys
@@ -90,16 +91,21 @@ class TestSendCoalescing:
         received = [line for line in passthrough if line.startswith("recv ")]
         assert received == ["recv %s" % m for m in messages]
 
-    def test_idle_flush_without_explicit_sync(self, wafe, tmp_path):
+    def test_frame_flush_before_blocking_without_explicit_sync(
+            self, wafe, tmp_path):
         command = write_backend(tmp_path, ECHOING_BACKEND)
         passthrough = []
         frontend = Frontend(wafe, command, passthrough=passthrough.append)
         wafe.run_script("echo ping")
-        # No flush() call: the idle work proc must deliver it.
+        # No flush() call and no work proc: the loop ends the frame
+        # before it blocks, and that flush delivers the line.
+        assert wafe.app.core.run_one_work_proc() is False
         wafe.main_loop(until=lambda: "recv ping" in passthrough,
                        max_idle=800)
         frontend.close()
         assert "recv ping" in passthrough
+        assert frontend.stats["frame_flushes"] >= 1
+        assert frontend.stats["sync_points"] == 0
 
     def test_sync_command_flushes(self, wafe, tmp_path):
         command = write_backend(tmp_path, ECHOING_BACKEND)
@@ -119,7 +125,7 @@ class TestSendCoalescing:
         frontend.process.stdin = pipe
         big = "x" * (Frontend.FLUSH_THRESHOLD + 1)
         frontend.send(big)
-        assert pipe.writes == 1  # threshold bypasses the idle deferral
+        assert pipe.writes == 1  # threshold bypasses the frame deferral
         frontend.close()
 
     def test_close_flushes_pending_output(self, wafe, tmp_path):

@@ -469,6 +469,23 @@ class TestSupervisorLedger:
             "timer fired",
         ]
 
+    def test_timer_echo_goes_out_with_the_frame_flush(self, server, tcp):
+        # A timer-fired send has no read behind it to flush it: each
+        # scheduling pass ends every session's frame, and that flush
+        # delivers the line -- no work proc is queued for it.
+        client = open_session(server, tcp)
+        session = list(server.sessions.values())[0]
+        client.sendall(b"%addTimeOut 10 {echo tick}\n")
+        out = b""
+        for __ in range(200):
+            pump(server, 5)
+            out += drain(client)
+            if b"tick" in out:
+                break
+        assert out == b"tick\n"
+        assert session.stats["frame_flushes"] >= 1
+        assert server.core.run_one_work_proc() is False
+
 
 class TestEventStatsScope:
     def ask(self, server, client, script, marker):

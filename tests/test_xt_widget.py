@@ -80,7 +80,9 @@ class TestCreation:
         form = Form("f", top)
         one = Label("one", form)
         two = Label("two", form, args={"fromVert": "one"})
-        assert two.constraints["fromVert"] == "one"
+        # Resolved to the sibling as it is set (String-to-Widget).
+        assert two.constraints["fromVert"] is one
+        assert two.get_value_string("fromVert") == "one"
         assert one in form.children and two in form.children
 
 
