@@ -60,9 +60,9 @@ class Label(ThreeD):
         want_h = height or text_height + pad_y + shadow
         return (max(1, want_w), max(1, want_h))
 
-    def _text_rects(self, text):
-        """Window-relative boxes covering where ``text`` paints -- the
-        same layout arithmetic as :meth:`expose`."""
+    def _line_layout(self, text):
+        """(x, top, line) for each line of ``text``, placed as
+        :meth:`expose` draws it; ``top`` is the line's top edge."""
         window = self.window
         font = self.resources["font"]
         inner_x = self.resources["internalWidth"] + \
@@ -71,22 +71,47 @@ class Label(ThreeD):
         left = self.resources.get("leftBitmap")
         if left is not None:
             x += left.shape[1] + self.resources["internalWidth"] // 2 + 1
+        justify = self.resources["justify"]
         lines = (text or "").split("\n")
-        total_height = font.height * len(lines)
-        top = (window.height - total_height) // 2
-        rects = []
+        top = (window.height - font.height * len(lines)) // 2
+        layout = []
         for line in lines:
             line_width = font.text_width(line)
-            justify = self.resources["justify"]
             if justify == "center":
                 draw_x = max(x, (window.width - line_width) // 2)
             elif justify == "right":
                 draw_x = max(x, window.width - inner_x - line_width)
             else:
                 draw_x = x
-            rects.append((draw_x, top, draw_x + line_width,
-                          top + font.height))
+            layout.append((draw_x, top, line))
             top += font.height
+        return layout
+
+    def _changed_rects(self, old_text, new_text):
+        """Window-relative boxes covering every pixel that differs
+        between ``old_text`` and ``new_text``: on each line, from the
+        first glyph whose character or position differs to the ink end
+        of the longer line.  A change in the number of lines moves
+        every line, so then the ink of both texts is covered whole."""
+        font = self.resources["font"]
+        old = self._line_layout(old_text)
+        new = self._line_layout(new_text)
+        if len(old) != len(new):
+            return [(x, top, x + font.ink_width(line), top + font.height)
+                    for x, top, line in old + new if line]
+        rects = []
+        for (old_x, top, old_line), (new_x, __, new_line) in zip(old, new):
+            if (old_x, old_line) == (new_x, new_line):
+                continue
+            same = 0
+            if old_x == new_x:
+                while (same < min(len(old_line), len(new_line))
+                       and old_line[same] == new_line[same]):
+                    same += 1
+            x0 = min(old_x, new_x) + font.text_width(old_line[:same])
+            x1 = max(old_x + font.ink_width(old_line),
+                     new_x + font.ink_width(new_line))
+            rects.append((x0, top, x1, top + font.height))
         return rects
 
     def set_values_hook(self, old, changed):
@@ -102,17 +127,16 @@ class Label(ThreeD):
                 if self.parent is not None:
                     self.parent.defer_layout()
                 return False  # geometry changed: full redraw
-        # Text-only change on the damage path: repaint just the union of
-        # the old and new text extents.  Only for plain Labels -- a
-        # subclass with its own expose may place text differently.
+        # Text-only change on the damage path: repaint just the glyphs
+        # that changed.  Only for plain Labels -- a subclass with its
+        # own expose may place text differently.
         if (changed == ["label"] and self.realized
                 and self.window is not None
                 and type(self).expose is Label.expose
                 and self.resources.get("bitmap") is None
                 and old.get("label") != self.resources.get("label")):
-            rects = self._text_rects(old.get("label"))
-            rects += self._text_rects(self.label_text())
-            self.update_rects(rects)
+            self.update_rects(self._changed_rects(old.get("label"),
+                                                  self.label_text()))
             return True
         return False
 
@@ -137,17 +161,5 @@ class Label(ThreeD):
             gfx.put_image(window, gc, bitmap, x,
                           (window.height - bitmap.shape[0]) // 2)
             return
-        lines = self.label_text().split("\n")
-        total_height = font.height * len(lines)
-        y = (window.height - total_height) // 2 + font.ascent
-        for line in lines:
-            line_width = font.text_width(line)
-            justify = self.resources["justify"]
-            if justify == "center":
-                draw_x = max(x, (window.width - line_width) // 2)
-            elif justify == "right":
-                draw_x = max(x, window.width - inner_x - line_width)
-            else:
-                draw_x = x
-            gfx.draw_string(window, gc, draw_x, y, line)
-            y += font.height
+        for draw_x, top, line in self._line_layout(self.label_text()):
+            gfx.draw_string(window, gc, draw_x, top + font.ascent, line)

@@ -137,6 +137,19 @@ class Font:
     def text_width(self, text):
         return sum(self.char_width(ch) for ch in text)
 
+    @property
+    def glyph_scale(self):
+        """(x, y) pixels per glyph bit."""
+        return max(1, self.size // 10), max(1, self.height // 8)
+
+    def ink_width(self, text):
+        """How far right of its origin ``text`` can paint: each glyph's
+        5-bit-wide cell starts at its cursor, so a glyph narrower than
+        its cell (``i``, ``.``) inks past its advance."""
+        if not text:
+            return 0
+        return self.text_width(text[:-1]) + 5 * self.glyph_scale[0]
+
     def glyph_bits(self, ch):
         """A deterministic 5x7 bit pattern for ``ch`` (list of 7 rows).
 

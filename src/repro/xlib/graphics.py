@@ -120,15 +120,27 @@ def draw_point(drawable, gc, x, y):
     fill_rectangle(drawable, gc, x, y, 1, 1)
 
 
+def _misses(clip, x0, y0, x1, y1):
+    """True when the drawable-relative box [x0, x1) x [y0, y1) lies
+    wholly outside ``clip``, the damage rect a window is being
+    repainted through: every pen box inside it would clip to nothing."""
+    return clip is not None and (x1 <= clip[0] or x0 >= clip[2]
+                                 or y1 <= clip[1] or y0 >= clip[3])
+
+
 def draw_line(drawable, gc, x1, y1, x2, y2):
-    """Bresenham; thickness via square pen."""
+    """Bresenham; thickness via square pen.  A segment whose pen
+    bounding box misses the damage clip is skipped whole."""
+    pen = gc.line_width
+    if _misses(getattr(drawable, "paint_clip", None), min(x1, x2),
+               min(y1, y2), max(x1, x2) + pen, max(y1, y2) + pen):
+        return
     dx = abs(x2 - x1)
     dy = abs(y2 - y1)
     sx = 1 if x1 < x2 else -1
     sy = 1 if y1 < y2 else -1
     err = dx - dy
     x, y = x1, y1
-    pen = gc.line_width
     while True:
         fill_rectangle(drawable, gc, x, y, pen, pen)
         if x == x2 and y == y2:
@@ -167,22 +179,25 @@ def draw_arc_outline(drawable, gc, x, y, width, height):
 
 
 def draw_string(drawable, gc, x, y, text):
-    """Draw text with the GC font; (x, y) is the baseline origin."""
+    """Draw text with the GC font; (x, y) is the baseline origin.  A
+    glyph whose 5x7 cell misses the damage clip is skipped; the
+    returned advance is always the whole string's."""
     font = gc.font
     cursor = x
     top = y - font.ascent
-    scale_x = max(1, font.size // 10)
-    scale_y = max(1, font.height // 8)
+    scale_x, scale_y = font.glyph_scale
+    clip = getattr(drawable, "paint_clip", None)
     for ch in text:
         width = font.char_width(ch)
-        rows = font.glyph_bits(ch)
-        for row, bits in enumerate(rows):
-            for col in range(5):
-                if bits & (1 << col):
-                    fill_rectangle(drawable, gc,
-                                   cursor + col * scale_x,
-                                   top + row * scale_y,
-                                   scale_x, scale_y)
+        if not _misses(clip, cursor, top, cursor + 5 * scale_x,
+                       top + 7 * scale_y):
+            for row, bits in enumerate(font.glyph_bits(ch)):
+                for col in range(5):
+                    if bits & (1 << col):
+                        fill_rectangle(drawable, gc,
+                                       cursor + col * scale_x,
+                                       top + row * scale_y,
+                                       scale_x, scale_y)
         cursor += width
     return cursor - x
 

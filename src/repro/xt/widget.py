@@ -159,8 +159,6 @@ class Widget:
         if parent is not None:
             self.app = parent.app
             self.depth = parent.depth + 1
-            if self not in parent.children:
-                parent.children.append(self)
         else:
             if app is None:
                 raise WidgetError("root widget needs an app context")
@@ -168,8 +166,12 @@ class Widget:
             self.depth = 0
         self._initialize_resources(args or {})
         self.initialize()
-        if managed and parent is not None:
-            parent.manage_child(self)
+        # Linked only once creation has succeeded: a create that fails
+        # in conversion or in its initialize hook leaves no child behind.
+        if parent is not None:
+            parent.children.append(self)
+            if managed:
+                parent.manage_child(self)
 
     def _initialize_resources(self, args):
         constraint_map = (self.parent.class_constraint_map()

@@ -15,5 +15,7 @@ only tests and benchmarks construct them:
 * :mod:`tests.oracles.render` -- the full repaint every damage-driven
   checkpoint must match byte for byte;
 * :mod:`tests.oracles.geometry` -- eager layout (``use_eager_geometry``)
-  behind the deferred geometry pass.
+  behind the deferred geometry pass;
+* :mod:`tests.oracles.raster` -- per-box line and text drawing behind
+  the clip skip in :mod:`repro.xlib.graphics`.
 """

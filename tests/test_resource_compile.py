@@ -148,17 +148,20 @@ def canon_all(values):
 class Recorder:
     """Records the args each widget was initialized with and snapshots
     what _initialize_resources produced, before the class initialize
-    hooks run; counts record compilations."""
+    hooks run; remembers the last widget to start converting; counts
+    record compilations."""
 
     def __init__(self, monkeypatch):
         self.args = {}
         self.snapshots = {}
+        self.last = None
         self.compiled = 0
         initialize = Widget._initialize_resources
         compile_record = Widget._compile_record
 
         def recording_initialize(widget, args):
             self.args[id(widget)] = dict(args)
+            self.last = widget
             initialize(widget, args)
             self.snapshots[id(widget)] = (dict(widget.resources),
                                           dict(widget.constraints))
@@ -266,17 +269,16 @@ class TestDifferential:
                 wafe.create_widget(class_name, argv)
             except TclError as err:
                 failures += 1
-                # The widget that failed is the last one appended: the
-                # new widget, or a child its initialize hook was making
-                # (Dialog builds its label and value that way).
-                created = ghost = wafe.lookup_widget(parent).children[-1]
-                expected_error = reference(wafe, ghost, args)[2]
-                while expected_error is None and ghost.children:
-                    ghost = ghost.children[-1]
-                    expected_error = reference(
-                        wafe, ghost, recorder.args[id(ghost)])[2]
+                # The widget that failed is the last one to start
+                # converting: the new widget, or a child its initialize
+                # hook was making (Dialog builds its label and value
+                # that way).  The failed create leaves no child behind.
+                failed = recorder.last
+                expected_error = reference(
+                    wafe, failed, recorder.args[id(failed)])[2]
                 assert str(err) == expected_error, (step, class_name)
-                created.destroy()
+                assert name not in [child.name for child in
+                                    wafe.lookup_widget(parent).children]
                 continue
             widget = wafe.lookup_widget(name)
             resources, constraints = recorder.snapshots[id(widget)]

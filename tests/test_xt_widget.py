@@ -85,6 +85,40 @@ class TestCreation:
         assert two.get_value_string("fromVert") == "one"
         assert one in form.children and two in form.children
 
+    def test_failed_create_leaves_no_child(self, top):
+        from repro.core import make_wafe
+        from repro.tcl.errors import TclError
+
+        wafe = make_wafe()
+        wafe.run_script("form main topLevel; label a main; realize")
+        with pytest.raises(TclError, match="unknown sibling"):
+            wafe.run_script("label b main fromVert nosuch")
+        main = wafe.lookup_widget("main")
+        assert [child.name for child in main.children] == ["a"]
+        # A sibling may not name the failed widget either.
+        with pytest.raises(TclError, match='unknown sibling "b"'):
+            wafe.run_script("label c main fromVert b")
+        wafe.run_script("label b main fromVert a")
+        assert [child.name for child in main.children] == ["a", "b"]
+
+    def test_failed_initialize_hook_leaves_no_child(self, app, top):
+        from repro.tcl.errors import TclError
+        from repro.xaw import Dialog
+
+        # Dialog's initialize hook creates its label child, whose
+        # conversion fails: the Dialog is not left in the Form.
+        app.merge_resources("*d.label.justify: middle")
+        form = Form("f", top)
+        with pytest.raises(TclError, match="Justify"):
+            Dialog("d", form)
+        assert form.children == []
+
+    def test_widget_cannot_attach_to_itself(self, top):
+        form = Form("f", top)
+        with pytest.raises(WidgetError, match="unknown sibling"):
+            Label("l", form, args={"fromVert": "l"})
+        assert form.children == []
+
 
 class TestSetGetValues:
     def test_set_values_converts(self, top):
